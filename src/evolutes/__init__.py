@@ -7,16 +7,17 @@ monodromy of closed curves.
 """
 
 from .catalog import CATALOG, CurveSpec, preset, preset_names
+from .classify import Verdict, classify
 from .curves import ArclengthMap, Curve, ExprCurve, FrenetODECurve, \
     branch_grids
 from .envelope import (Line3, PlaneFamily, RuledPatch, developable_patch,
                        edge_cusps, edge_point, edge_points, polar_line,
                        ruling_directions)
-from .errors import (CuspPoint, DegenerateCurvature, DomainError, EvoluteCusp,
-                     GeometryError, IdentityMonodromy, Indeterminate,
-                     InfinityEscape, IntegrationFailure, LengthMismatch,
-                     LineThroughEdge, NotClosed, ParseError, PureTranslation,
-                     SingularSystem, TorsionVanishes)
+from .errors import (CuspPoint, DegenerateCurvature, DomainError,
+                     GeometryError, IdentityMonodromy, InfinityEscape,
+                     IntegrationFailure, LengthMismatch, LineThroughEdge,
+                     NotClosed, ParseError, PureTranslation, SingularSystem,
+                     TorsionVanishes)
 from .evolute import (EvoluteCurve, conformal_torsion, evolute_curvature_torsion,
                       evolute_cusps, evolute_escapes, evolute_point,
                       evolute_points, interior_sign, osculating_circle,

@@ -9,24 +9,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .catalog import preset, preset_names
+from .classify import classify
 from .curves import Curve, ExprCurve, FrenetODECurve, branch_grids
-from .errors import (DomainError, GeometryError, InfinityEscape, ParseError,
-                     TorsionVanishes)
+from .errors import DomainError, GeometryError, ParseError
 from .envelope import developable_patch
-from .evolute import EvoluteCurve, evolute_cusps, evolute_escapes, \
-    evolute_points
 from .exporters import atomic_write, render_csv, render_json, render_obj, \
     render_svg
 from .frenet import FrenetEval, frenet_at, total_curvature
-from .monge import (MongeEvoluteCurve, MongeInvoluteCurve, monge_escapes,
-                    monge_evolute_cusps)
-from .pseudo import PseudoEvoluteCurve, is_cylindrical, pseudo_cusps, \
-    pseudo_escapes
+from .monge import MongeInvoluteCurve
 from .report import curve_report
 from .rolling import Development, closed_involute, monodromy, trace_involute
 
@@ -42,7 +38,6 @@ class RunConfig:
     source: tuple
     domain: tuple | None = None
     samples: int = 1024
-    tol: float = 1e-9
     alpha0: float = 0.0
     length: float | None = None
     delta: float | None = None
@@ -57,10 +52,12 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 16:
             raise ValueError("--samples must be at least 16")
-        if self.domain is not None and not self.domain[1] > self.domain[0]:
-            raise ValueError("--range must satisfy a < b")
-        if self.tol <= 0:
-            raise ValueError("--tol must be positive")
+        if self.domain is not None:
+            a, b = self.domain
+            if not b > a:
+                raise ValueError("--range must satisfy a < b")
+            if not np.isfinite(b - a):
+                raise ValueError("--range bounds and width must be finite")
 
 
 def build_curve(cfg: RunConfig) -> Curve:
@@ -137,45 +134,13 @@ def _cmd_frenet(cfg: RunConfig, curve: Curve) -> int:
     return _write(cfg, render_csv(ts, pts, extras))
 
 
-def _cmd_evolute(cfg: RunConfig, curve: Curve) -> int:
-    probe = curve.grid(min(cfg.samples, 512))
-    if curve.cusps:
-        gap = np.min(np.abs(probe[:, None] - np.array(curve.cusps)), axis=1)
-        probe = probe[gap > 1e-6]
-    fe = FrenetEval(curve, probe, order=4)
-    with np.errstate(all="ignore"):
-        sigma = fe.sigma[0]
-    spherical = np.all(np.abs(sigma[np.isfinite(sigma)]) <= 1e-6)
-    if not spherical:
-        escapes = evolute_escapes(curve)
-        if len(escapes):
-            raise TorsionVanishes("torsion vanishes", t=float(escapes[0]))
-    cuts = () if spherical else evolute_cusps(curve)
-    grids = branch_grids(curve.domain, list(cuts) + list(curve.cusps),
-                         cfg.samples)
-    segments = [_finite_rows(ts, evolute_points(curve, ts)) for ts in grids]
-    return _emit_polyline(cfg, segments)
-
-
-def _cmd_pseudo(cfg: RunConfig, curve: Curve) -> int:
-    if is_cylindrical(curve):
-        raise InfinityEscape(
-            "tau/k is constant (cylindrical curve): the pseudo-evolute"
-            " escapes to infinity everywhere")
-    cuts = (list(pseudo_escapes(curve)) + list(pseudo_cusps(curve))
-            + list(curve.cusps))
-    pe = PseudoEvoluteCurve(curve)
-    grids = branch_grids(curve.domain, cuts, cfg.samples)
-    segments = [_finite_rows(ts, pe.point(ts)) for ts in grids]
-    return _emit_polyline(cfg, segments)
-
-
-def _cmd_monge_evolute(cfg: RunConfig, curve: Curve) -> int:
-    ev = MongeEvoluteCurve(curve, cfg.alpha0, closed=curve.closed)
-    cuts = (list(monge_evolute_cusps(ev)) + list(monge_escapes(ev))
-            + list(curve.cusps))
-    grids = branch_grids(curve.domain, cuts, cfg.samples)
-    segments = [_finite_rows(ts, ev.point(ts)) for ts in grids]
+def _cmd_construction(cfg: RunConfig, curve: Curve, construction) -> int:
+    """evolute, pseudo-evolute, monge-evolute: branches between singularities."""
+    verdict = classify(curve, construction, cfg.samples, cfg.alpha0)
+    if verdict.error is not None:
+        raise verdict.error
+    grids = branch_grids(curve.domain, verdict.cuts, cfg.samples)
+    segments = [_finite_rows(ts, verdict.point(ts)) for ts in grids]
     return _emit_polyline(cfg, segments)
 
 
@@ -244,9 +209,8 @@ def _cmd_report(cfg: RunConfig, curve: Curve) -> int:
 
 _DISPATCH = {
     "frenet": _cmd_frenet,
-    "evolute": _cmd_evolute,
-    "pseudo-evolute": _cmd_pseudo,
-    "monge-evolute": _cmd_monge_evolute,
+    **{name: partial(_cmd_construction, construction=name)
+       for name in ("evolute", "pseudo-evolute", "monge-evolute")},
     "monge-involute": _cmd_monge_involute,
     "involute": _cmd_involute,
     "developable": _cmd_developable,
@@ -279,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--ktau", metavar='"k;tau"')
     common.add_argument("--range", dest="range_", metavar="a:b", type=_pair)
     common.add_argument("--samples", type=int, default=1024)
-    common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--out", metavar="PATH")
     common.add_argument("--format", dest="fmt", choices=_FORMATS)
     common.add_argument("--svg-scale", type=float, default=100.0,
@@ -328,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _NEGATIVE_OK = {"--range", "--point", "--alpha0", "--length", "--delta",
-                "--ruling-extent", "--svg-scale", "--tol"}
+                "--ruling-extent", "--svg-scale"}
 
 
 def _absorb_negatives(argv):
@@ -348,20 +311,11 @@ def _absorb_negatives(argv):
 
 
 def _config_from(ns: argparse.Namespace) -> RunConfig:
-    for mode in ("preset", "expr", "ktau"):
-        value = getattr(ns, mode)
-        if value is not None:
-            source = (mode, value)
-            break
-    return RunConfig(source=source, domain=ns.range_, samples=ns.samples,
-                     tol=ns.tol, alpha0=getattr(ns, "alpha0", 0.0),
-                     length=getattr(ns, "length", None),
-                     delta=getattr(ns, "delta", None),
-                     extent=getattr(ns, "extent", 1.0),
-                     kind=getattr(ns, "kind", "tangent"),
-                     point=getattr(ns, "point", None),
-                     signed=getattr(ns, "signed", False),
-                     svg_scale=ns.svg_scale, out=ns.out, fmt=ns.fmt)
+    source = next((mode, getattr(ns, mode)) for mode in ("preset", "expr", "ktau")
+                  if getattr(ns, mode) is not None)
+    names = {f.name for f in fields(RunConfig)}
+    given = {k: v for k, v in vars(ns).items() if k in names}
+    return RunConfig(source=source, domain=ns.range_, **given)
 
 
 def entry(argv=None) -> int:

@@ -22,27 +22,37 @@ from . import expr as ex
 from .errors import IntegrationFailure
 from .quadrature import CumulativeIntegral
 
-__all__ = ["Curve", "ExprCurve", "FrenetODECurve", "ArclengthMap",
-           "branch_grids"]
+__all__ = ["Curve", "ExprCurve", "IntegratedCurve", "FrenetODECurve",
+           "ArclengthMap", "branch_grids", "EPS_K", "EPS_TAU", "MIN_SPEED",
+           "CUSP_GAP", "SPHERICAL_SIGMA", "SIGMA_CLEARANCE"]
+
+# Regularity thresholds, shared by every check in the package.
+EPS_K = 1e-9             # curvature at or below this vanishes
+EPS_TAU = 1e-9           # torsion at or below this (in size) vanishes
+MIN_SPEED = 1e-15        # speed at or below this is a cusp
+CUSP_GAP = 1e-12         # a parameter this close to a declared cusp is on it
+SPHERICAL_SIGMA = 1e-6   # |sigma| at or below this everywhere: spherical
+SIGMA_CLEARANCE = 1e-3   # |sigma| above this: clear of evolute cusps
 
 
 class Curve:
     """Base: a parametric space curve on a fixed domain."""
 
-    def __init__(self, domain, closed: bool = False, cusps=(),
-                 eps_k: float = 1e-9, eps_tau: float = 1e-9):
+    def __init__(self, domain, closed: bool = False, cusps=()):
         a, b = float(domain[0]), float(domain[1])
         if not b > a:
             raise ValueError("domain must have positive length")
         self.domain = (a, b)
         self.closed = bool(closed)
         self.cusps = tuple(float(c) for c in cusps)
-        self.eps_k = eps_k
-        self.eps_tau = eps_tau
 
     def derivatives(self, t, order: int) -> np.ndarray:
         """Derivatives 0..order at t, shape (order+1, N, 3)."""
         raise NotImplementedError
+
+    def speed(self, t) -> np.ndarray:
+        """|x'(t)| at an array of parameters."""
+        return np.linalg.norm(self.derivatives(t, 1)[1], axis=-1)
 
     def point(self, t) -> np.ndarray:
         scalar = np.ndim(t) == 0
@@ -74,16 +84,23 @@ def branch_grids(domain, cuts, samples: int, margin=None):
         hi_cut = hi - margin if hi in singular else hi
         if hi_cut <= lo_cut:
             continue
-        count = max(2, round(samples * (hi_cut - lo_cut) / (b - a)))
+        count = max(2, round(samples * ((hi_cut - lo_cut) / (b - a))))
         grids.append(np.linspace(lo_cut, hi_cut, count))
     return grids
+
+
+def _nth(chain: list, m: int) -> ex.Expr:
+    """The m-th derivative in a chain [f, f', ...], extending it as needed."""
+    while len(chain) <= m:
+        chain.append(ex.differentiate(chain[-1]))
+    return chain[m]
 
 
 class ExprCurve(Curve):
     """Curve whose coordinates are closed-form expressions in t."""
 
-    def __init__(self, components, domain, closed=False, cusps=(), **kw):
-        super().__init__(domain, closed, cusps, **kw)
+    def __init__(self, components, domain, closed=False, cusps=()):
+        super().__init__(domain, closed, cusps)
         if isinstance(components, str):
             components = ex.parse_curve(components)
         self.components = tuple(components)
@@ -91,18 +108,12 @@ class ExprCurve(Curve):
             raise ValueError("need exactly 3 components")
         self._derivs = [[c] for c in self.components]
 
-    def _component(self, i: int, m: int) -> ex.Expr:
-        chain = self._derivs[i]
-        while len(chain) <= m:
-            chain.append(ex.differentiate(chain[-1]))
-        return chain[m]
-
     def derivatives(self, t, order: int) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty((order + 1, len(t), 3))
         for m in range(order + 1):
             for i in range(3):
-                out[m, :, i] = ex.evaluate(self._component(i, m), t)
+                out[m, :, i] = ex.evaluate(_nth(self._derivs[i], m), t)
         return out
 
     def __repr__(self):
@@ -110,20 +121,61 @@ class ExprCurve(Curve):
         return f"ExprCurve({parts!r}, domain={self.domain})"
 
 
-class FrenetODECurve(Curve):
+class IntegratedCurve(Curve):
+    """A curve whose state is integrated once with DOP853 (rtol = atol =
+    1e-11) over the domain; the dense-output segments are kept for
+    evaluation anywhere in it."""
+
+    def _integrate(self, fun, y0, what: str, project=None):
+        """project(y), if given, corrects each accepted state in place."""
+        from scipy.integrate import DOP853
+
+        a, b = self.domain
+        solver = DOP853(fun, a, y0, b, rtol=1e-11, atol=1e-11)
+        self._segments, ends = [], []
+        while solver.status == "running":
+            if solver.step() is not None or solver.status == "failed":
+                raise IntegrationFailure(
+                    f"{what} integration failed near t={solver.t:.9g}")
+            self._segments.append(solver.dense_output())
+            ends.append(solver.t)
+            if project is not None:
+                project(solver.y)
+                # DOP853 reuses the stored derivative as its next stage
+                solver.f = solver.fun(solver.t, solver.y)
+        self._ends = np.asarray(ends)
+        self._dim = len(y0)
+
+    def _state(self, t: np.ndarray) -> np.ndarray:
+        idx = np.clip(np.searchsorted(self._ends, t, side="left"),
+                      0, len(self._segments) - 1)
+        out = np.empty((len(t), self._dim))
+        for j in np.unique(idx):
+            mask = idx == j
+            out[mask] = self._segments[j](t[mask]).T
+        return out
+
+
+def _reorthonormalize(y):
+    """Put the frame (T, N, B) of the state y back onto SO(3), in place."""
+    T = y[3:6] / np.linalg.norm(y[3:6])
+    N = y[6:9] - (y[6:9] @ T) * T
+    N /= np.linalg.norm(N)
+    y[3:6], y[6:9], y[9:12] = T, N, np.cross(T, N)
+
+
+class FrenetODECurve(IntegratedCurve):
     """Unit-speed curve built from curvature and torsion expressions.
 
     The frame system (T' = kN, N' = -kT + tB, B' = -tN, xi' = T) is
-    integrated once with a high-order Runge-Kutta scheme; dense-output
-    segments are kept for evaluation anywhere in the domain.  The frame is
-    re-orthonormalized after every accepted step.  Higher derivatives come
-    from the frame equations themselves together with exact derivatives of
-    the curvature/torsion expressions, not from differentiating the solver
-    output.
+    integrated once; the frame is re-orthonormalized after every accepted
+    step.  Higher derivatives come from the frame equations themselves
+    together with exact derivatives of the curvature/torsion expressions,
+    not from differentiating the solver output.
     """
 
     def __init__(self, curvature, torsion, domain, origin=(0.0, 0.0, 0.0),
-                 frame=None, rtol=1e-11, atol=1e-11, **kw):
+                 frame=None, **kw):
         super().__init__(domain, **kw)
         self.k_expr = ex.parse(curvature) if isinstance(curvature, str) else curvature
         self.tau_expr = ex.parse(torsion) if isinstance(torsion, str) else torsion
@@ -133,50 +185,13 @@ class FrenetODECurve(Curve):
             frame = np.eye(3)
         y0 = np.concatenate([np.asarray(origin, dtype=float),
                              np.asarray(frame, dtype=float).ravel()])
-        self._integrate(y0, rtol, atol)
+        self._integrate(self._rhs, y0, "frame", project=_reorthonormalize)
 
     def _rhs(self, t, y):
         k = ex.evaluate(self.k_expr, t)
         tau = ex.evaluate(self.tau_expr, t)
         T, N, B = y[3:6], y[6:9], y[9:12]
         return np.concatenate([T, k * N, -k * T + tau * B, -tau * N])
-
-    def _integrate(self, y0, rtol, atol):
-        from scipy.integrate import DOP853
-
-        a, b = self.domain
-        solver = DOP853(self._rhs, a, y0, b, rtol=rtol, atol=atol)
-        segments, ends = [], []
-        while solver.status == "running":
-            if solver.step() is not None or solver.status == "failed":
-                raise IntegrationFailure(
-                    f"frame integration failed near t={solver.t:.9g}")
-            segments.append(solver.dense_output())
-            ends.append(solver.t)
-            # project the frame back onto SO(3); DOP853 reuses the stored
-            # derivative as its next first stage, so refresh it too
-            y = solver.y
-            T = y[3:6] / np.linalg.norm(y[3:6])
-            N = y[6:9] - (y[6:9] @ T) * T
-            N /= np.linalg.norm(N)
-            y[3:6], y[6:9], y[9:12] = T, N, np.cross(T, N)
-            solver.f = solver.fun(solver.t, solver.y)
-        self._segments = segments
-        self._ends = np.asarray(ends)
-
-    def _state(self, t: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(self._ends, t, side="left"),
-                      0, len(self._segments) - 1)
-        out = np.empty((len(t), 12))
-        for j in np.unique(idx):
-            mask = idx == j
-            out[mask] = self._segments[j](t[mask]).T
-        return out
-
-    def _coef(self, chain, m: int):
-        while len(chain) <= m:
-            chain.append(ex.differentiate(chain[-1]))
-        return chain[m]
 
     def derivatives(self, t, order: int) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -191,8 +206,8 @@ class FrenetODECurve(Curve):
         kj = np.empty((depth, n))
         tj = np.empty((depth, n))
         for j in range(depth - 1):
-            kj[j] = ex.evaluate(self._coef(self._k_chain, j), t)
-            tj[j] = ex.evaluate(self._coef(self._tau_chain, j), t)
+            kj[j] = ex.evaluate(_nth(self._k_chain, j), t)
+            tj[j] = ex.evaluate(_nth(self._tau_chain, j), t)
         for m in range(depth - 1):
             accT = np.zeros((n, 3))
             accN = np.zeros((n, 3))
@@ -218,17 +233,10 @@ class ArclengthMap:
     """Cumulative arc length s(t) with a monotone inverse t(s)."""
 
     curve: Curve
-    panels: int = 64
 
     def __post_init__(self):
         a, b = self.curve.domain
-
-        def speed(ts):
-            d1 = self.curve.derivatives(ts, 1)[1]
-            return np.linalg.norm(d1, axis=-1)
-
-        self._speed = speed
-        self._cumulative = CumulativeIntegral(speed, a, b, panels=self.panels)
+        self._cumulative = CumulativeIntegral(self.curve.speed, a, b)
 
     @property
     def total(self) -> float:

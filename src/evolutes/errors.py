@@ -18,13 +18,15 @@ class DomainError(ValueError):
 
 
 class GeometryError(Exception):
-    """Base class for geometric degeneracies; may carry the parameter."""
+    """Base class for geometric degeneracies; may carry the parameter t
+    (``reason`` is the message without it)."""
 
     def __init__(self, message, t=None):
+        self.reason = message
+        self.t = t
         if t is not None:
             message = f"{message} at t≈{t:.9g}"
         super().__init__(message)
-        self.t = t
 
 
 class CuspPoint(GeometryError):
@@ -32,23 +34,15 @@ class CuspPoint(GeometryError):
 
 
 class DegenerateCurvature(GeometryError):
-    """Curvature fell below the genericity threshold eps_k."""
+    """Curvature fell below the genericity threshold EPS_K."""
 
 
 class TorsionVanishes(GeometryError):
-    """Torsion fell below the genericity threshold eps_tau."""
-
-
-class EvoluteCusp(GeometryError):
-    """The evolute is singular (sigma = 0) at the requested parameter."""
+    """Torsion fell below the genericity threshold EPS_TAU."""
 
 
 class InfinityEscape(GeometryError):
     """The requested point escapes to infinity (denominator vanishes)."""
-
-
-class Indeterminate(GeometryError):
-    """Classification is undecidable inside tolerance."""
 
 
 class SingularSystem(GeometryError):

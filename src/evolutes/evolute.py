@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import Curve
-from .errors import CuspPoint, DegenerateCurvature, TorsionVanishes
-from .frenet import FrenetEval, jet_sum
+from .curves import EPS_TAU, Curve
+from .errors import TorsionVanishes
+from .frenet import FrenetEval, jet_sum, regular_eval
 from .roots import find_roots
 from .taylor import (arclength_derivative, jet_div, jet_mul, jet_recip)
 
@@ -40,15 +40,8 @@ def _evolute_jets(fe: FrenetEval, order: int) -> np.ndarray:
 
 def evolute_point(curve: Curve, t: float) -> np.ndarray:
     """Center of the osculating sphere at t; raises on degeneracies."""
-    for c in curve.cusps:
-        if abs(t - c) <= 1e-12:
-            raise CuspPoint("curve has a cusp", t=t)
-    fe = FrenetEval(curve, t, order=3)
-    if not fe.v[0, 0] > 1e-15:
-        raise CuspPoint("speed vanishes", t=t)
-    if not fe.k[0, 0] > curve.eps_k:
-        raise DegenerateCurvature("curvature vanishes", t=t)
-    if abs(fe.tau[0, 0]) <= curve.eps_tau:
+    fe = regular_eval(curve, t, order=3)
+    if abs(fe.tau[0, 0]) <= EPS_TAU:
         raise TorsionVanishes("evolute escapes to infinity", t=t)
     return _evolute_jets(fe, 0)[0, 0].copy()
 
@@ -69,9 +62,8 @@ class EvoluteCurve(Curve):
     non-finite entries.
     """
 
-    def __init__(self, base: Curve, cusps=(), **kw):
-        closed = kw.pop("closed", base.closed)
-        super().__init__(base.domain, closed=closed, cusps=cusps, **kw)
+    def __init__(self, base: Curve, cusps=()):
+        super().__init__(base.domain, base.closed, cusps)
         self.base = base
 
     def derivatives(self, t, order: int) -> np.ndarray:
@@ -109,12 +101,8 @@ def osculating_sphere(curve: Curve, t: float):
 
 def osculating_circle(curve: Curve, t: float):
     """Center, radius, and plane normal of the osculating circle at t."""
-    fe = FrenetEval(curve, t, order=2)
-    if not fe.v[0, 0] > 1e-15:
-        raise CuspPoint("speed vanishes", t=t)
+    fe = regular_eval(curve, t, order=2)
     k = fe.k[0, 0]
-    if not k > curve.eps_k:
-        raise DegenerateCurvature("curvature vanishes", t=t)
     center = fe.x[0, 0] + fe.N[0, 0] / k
     return center.copy(), float(1.0 / k), fe.B[0, 0].copy()
 

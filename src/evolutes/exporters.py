@@ -15,9 +15,7 @@ import tempfile
 import numpy as np
 
 __all__ = [
-    "render_csv", "render_obj", "render_svg", "render_json",
-    "export_csv", "export_obj", "export_svg", "export_json",
-    "atomic_write",
+    "render_csv", "render_obj", "render_svg", "render_json", "atomic_write",
 ]
 
 
@@ -121,19 +119,3 @@ def _plain(value):
 def render_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                       default=_plain) + "\n"
-
-
-def export_csv(path, ts, points, extras=None) -> None:
-    atomic_write(path, render_csv(ts, points, extras))
-
-
-def export_obj(path, patch) -> None:
-    atomic_write(path, render_obj(patch))
-
-
-def export_svg(path, branches, scale: float = 100.0) -> None:
-    atomic_write(path, render_svg(branches, scale=scale))
-
-
-def export_json(path, payload) -> None:
-    atomic_write(path, render_json(payload))

@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import ArclengthMap, Curve
+from .curves import (CUSP_GAP, EPS_K, EPS_TAU, MIN_SPEED, ArclengthMap,
+                     Curve)
 from .errors import CuspPoint, DegenerateCurvature, LengthMismatch
 from .quadrature import adaptive_integral
 from .roots import find_roots
@@ -30,7 +31,7 @@ from .taylor import (arclength_derivative, jet_cross, jet_div, jet_dot,
                      jet_mul, jet_recip, jet_sqrt)
 
 __all__ = [
-    "FrenetEval", "FrenetState", "frenet_at", "sigma_values",
+    "FrenetEval", "FrenetState", "regular_eval", "frenet_at", "sigma_values",
     "arclength", "total_curvature", "total_torsion",
     "total_absolute_torsion", "indicatrix_geodesic_curvature",
     "CongruenceReport", "is_congruent",
@@ -149,27 +150,33 @@ class FrenetState:
     sigma: float
 
 
+def regular_eval(curve: Curve, t: float, order: int) -> FrenetEval:
+    """FrenetEval at the single parameter t; raises CuspPoint on a declared
+    cusp or where the speed vanishes, DegenerateCurvature where k does."""
+    for c in curve.cusps:
+        if abs(t - c) <= CUSP_GAP:
+            raise CuspPoint("curve has a cusp", t=t)
+    fe = FrenetEval(curve, t, order=order)
+    if not fe.v[0, 0] > MIN_SPEED:
+        raise CuspPoint("speed vanishes", t=t)
+    if not fe.k[0, 0] > EPS_K:
+        raise DegenerateCurvature("curvature vanishes", t=t)
+    return fe
+
+
 def frenet_at(curve: Curve, t: float) -> FrenetState:
     """Frenet state at t; raises at cusps and where curvature vanishes."""
-    for c in curve.cusps:
-        if abs(t - c) <= 1e-12:
-            raise CuspPoint("curve has a cusp", t=t)
-    fe = FrenetEval(curve, t, order=4)
-    speed = float(fe.v[0, 0])
-    if not speed > 1e-15:
-        raise CuspPoint("speed vanishes", t=t)
+    fe = regular_eval(curve, t, order=4)
     k = float(fe.k[0, 0])
-    if not k > curve.eps_k:
-        raise DegenerateCurvature("curvature vanishes", t=t)
     tau = float(fe.tau[0, 0])
-    sigma = float(fe.sigma[0, 0]) if abs(tau) > curve.eps_tau else float("nan")
+    sigma = float(fe.sigma[0, 0]) if abs(tau) > EPS_TAU else float("nan")
     return FrenetState(
         t=float(t),
         point=fe.x[0, 0].copy(),
         tangent=fe.T[0, 0].copy(),
         normal=fe.N[0, 0].copy(),
         binormal=fe.B[0, 0].copy(),
-        speed=speed,
+        speed=float(fe.v[0, 0]),
         curvature=k,
         torsion=tau,
         radius=1.0 / k,
@@ -181,22 +188,15 @@ def sigma_values(curve: Curve, ts) -> np.ndarray:
     """Vectorized sigma with nan where torsion is below the threshold."""
     fe = FrenetEval(curve, ts, order=4)
     out = fe.sigma[0].copy()
-    out[np.abs(fe.tau[0]) <= curve.eps_tau] = np.nan
+    out[np.abs(fe.tau[0]) <= EPS_TAU] = np.nan
     return out
-
-
-def _speed_fn(curve):
-    def speed(ts):
-        d1 = curve.derivatives(ts, 1)[1]
-        return np.linalg.norm(d1, axis=-1)
-    return speed
 
 
 def arclength(curve: Curve, t0=None, t1=None) -> float:
     a, b = curve.domain
     t0 = a if t0 is None else t0
     t1 = b if t1 is None else t1
-    return adaptive_integral(_speed_fn(curve), t0, t1)
+    return adaptive_integral(curve.speed, t0, t1)
 
 
 def total_curvature(curve: Curve) -> float:

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .curves import ArclengthMap, Curve
+from .curves import EPS_K, ArclengthMap, Curve
 from .errors import DegenerateCurvature, InfinityEscape
 from .frenet import FrenetEval, jet_sum, total_torsion
 from .quadrature import CumulativeIntegral
@@ -44,9 +44,9 @@ __all__ = [
 class MongeEvoluteCurve(Curve):
     """One Monge evolute of the base curve, selected by the start angle."""
 
-    def __init__(self, base: Curve, alpha0: float = 0.0, **kw):
-        closed = kw.pop("closed", False)
-        super().__init__(base.domain, closed=closed, **kw)
+    def __init__(self, base: Curve, alpha0: float = 0.0, closed=False,
+                 cusps=()):
+        super().__init__(base.domain, closed, cusps)
         self.base = base
         self.alpha0 = float(alpha0)
         a, b = base.domain
@@ -83,7 +83,7 @@ class MongeEvoluteCurve(Curve):
 def monge_evolute_point(evolute: MongeEvoluteCurve, t: float) -> np.ndarray:
     """Point of the Monge evolute at t; raises where it is at infinity."""
     fe = FrenetEval(evolute.base, t, order=2)
-    if not fe.k[0, 0] > evolute.base.eps_k:
+    if not fe.k[0, 0] > EPS_K:
         raise DegenerateCurvature("curvature vanishes", t=t)
     if abs(math.cos(float(evolute.alpha(t)))) <= 1e-12:
         raise InfinityEscape("string direction is binormal", t=t)

@@ -104,9 +104,8 @@ def pseudo_evolute_points(curve: Curve, ts) -> np.ndarray:
 class PseudoEvoluteCurve(Curve):
     """The pseudo-evolute as a differentiable curve."""
 
-    def __init__(self, base: Curve, cusps=(), **kw):
-        closed = kw.pop("closed", base.closed)
-        super().__init__(base.domain, closed=closed, cusps=cusps, **kw)
+    def __init__(self, base: Curve, cusps=()):
+        super().__init__(base.domain, base.closed, cusps)
         self.base = base
 
     def derivatives(self, t, order: int) -> np.ndarray:

@@ -39,6 +39,9 @@ _WG = np.array([
 ])
 
 _MAX_ROUNDS = 48
+# Cap on the panels still being refined: an integrand that never meets its
+# budget (a NaN, a pole) doubles them every round until memory runs out.
+_MAX_LIVE_PANELS = 4096
 
 
 def _gk15(f, a, b):
@@ -54,29 +57,39 @@ def _gk15(f, a, b):
     return kron, np.abs(kron - gauss)
 
 
+def _refine(f, edges, rtol: float, atol: float, failure: str):
+    """Bisect the panels between edges until each meets its share of the
+    error budget; the accepted left ends and values, round by round."""
+    lo, hi = edges[:-1], edges[1:]
+    width = abs(edges[-1] - edges[0])
+    keep_lo, keep_val = [], []
+    for _ in range(_MAX_ROUNDS):
+        vals, errs = _gk15(f, lo, hi)
+        scale = max(abs(sum(v.sum() for v in keep_val) + vals.sum()), atol)
+        budget = (np.abs(hi - lo) / width) * max(atol, rtol * scale)
+        ok = errs <= budget
+        keep_lo.append(lo[ok])
+        keep_val.append(vals[ok])
+        lo, hi = lo[~ok], hi[~ok]
+        if lo.size == 0:
+            return keep_lo, keep_val
+        if 2 * lo.size > _MAX_LIVE_PANELS:
+            break
+        mid = 0.5 * (lo + hi)
+        lo = np.concatenate([lo, mid])
+        hi = np.concatenate([mid, hi])
+    raise IntegrationFailure(
+        f"{failure} on [{edges[0]:.6g}, {edges[-1]:.6g}]")
+
+
 def adaptive_integral(f, a: float, b: float, rtol: float = 1e-11,
                       atol: float = 1e-13) -> float:
     """Integrate f over [a, b]; f maps an ndarray of parameters to values."""
     if a == b:
         return 0.0
-    lo = np.array([a])
-    hi = np.array([b])
-    done = 0.0
-    width_total = abs(b - a)
-    for _ in range(_MAX_ROUNDS):
-        vals, errs = _gk15(f, lo, hi)
-        scale = max(np.abs(done + vals.sum()), atol)
-        budget = (np.abs(hi - lo) / width_total) * max(atol, rtol * scale)
-        ok = errs <= budget
-        done += vals[ok].sum()
-        lo, hi = lo[~ok], hi[~ok]
-        if lo.size == 0:
-            return float(done)
-        mid = 0.5 * (lo + hi)
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-    raise IntegrationFailure(
-        f"quadrature failed to converge on [{a:.6g}, {b:.6g}]")
+    _, vals = _refine(f, np.array([a, b], dtype=float), rtol, atol,
+                      "quadrature failed to converge")
+    return float(sum(v.sum() for v in vals))
 
 
 class CumulativeIntegral:
@@ -96,26 +109,8 @@ class CumulativeIntegral:
         self.a = float(a)
         self.b = float(b)
         self.c0 = float(c0)
-        edges = np.linspace(a, b, panels + 1)
-        lo, hi = edges[:-1], edges[1:]
-        keep_lo, keep_hi, keep_val = [], [], []
-        for _ in range(_MAX_ROUNDS):
-            vals, errs = _gk15(f, lo, hi)
-            scale = max(abs(sum(v.sum() for v in keep_val) + vals.sum()), atol)
-            budget = (np.abs(hi - lo) / (b - a)) * max(atol, rtol * scale)
-            ok = errs <= budget
-            keep_lo.append(lo[ok])
-            keep_hi.append(hi[ok])
-            keep_val.append(vals[ok])
-            lo, hi = lo[~ok], hi[~ok]
-            if lo.size == 0:
-                break
-            mid = 0.5 * (lo + hi)
-            lo = np.concatenate([lo, mid])
-            hi = np.concatenate([mid, hi])
-        else:
-            raise IntegrationFailure(
-                f"cumulative quadrature failed on [{a:.6g}, {b:.6g}]")
+        keep_lo, keep_val = _refine(f, np.linspace(a, b, panels + 1), rtol,
+                                    atol, "cumulative quadrature failed")
         lo = np.concatenate(keep_lo)
         order = np.argsort(lo)
         self.edges = np.append(lo[order], b)

@@ -10,20 +10,17 @@ import math
 
 import numpy as np
 
-from .curves import Curve
+from .classify import Verdict, classify, probe_grid
+from .curves import SIGMA_CLEARANCE, Curve
 from .errors import GeometryError
-from .evolute import (EvoluteCurve, evolute_cusps, evolute_escapes,
-                      osculating_circles_disjoint)
+from .evolute import EvoluteCurve, osculating_circles_disjoint
 from .frenet import (FrenetEval, arclength, total_absolute_torsion,
                      total_curvature, total_torsion)
 from .monge import monge_evolutes_closed
-from .pseudo import is_cylindrical, pseudo_cusps, pseudo_escapes
 from .rolling import monodromy
 from .taylor import arclength_derivative, jet_mul
 
 __all__ = ["curve_report", "identity_residuals"]
-
-_SPHERICAL_SIGMA = 1e-6
 
 
 def _listed(values) -> list:
@@ -33,6 +30,11 @@ def _listed(values) -> list:
 def _finite(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float).ravel()
     return values[np.isfinite(values)]
+
+
+def _span(values: np.ndarray):
+    """[min, max] of finite values, or None when there are none."""
+    return [float(values.min()), float(values.max())] if values.size else None
 
 
 def identity_residuals(curve: Curve, ts) -> dict:
@@ -48,7 +50,7 @@ def identity_residuals(curve: Curve, ts) -> dict:
     out = {}
     with np.errstate(all="ignore"):
         sigma = fe.sigma[0]
-        good = np.isfinite(sigma) & (np.abs(sigma) > 1e-3)
+        good = np.isfinite(sigma) & (np.abs(sigma) > SIGMA_CLEARANCE)
         if good.any():
             dev = EvoluteCurve(curve).derivatives(ts[good], 1)[1]
             cross = np.cross(dev, fe.B[0][good])
@@ -71,25 +73,23 @@ def identity_residuals(curve: Curve, ts) -> dict:
     return out
 
 
-def _evolute_block(curve: Curve, sigma_peak: float) -> dict:
-    if sigma_peak <= _SPHERICAL_SIGMA:
-        return {"defined": True, "spherical": True, "cusps": []}
-    escapes = evolute_escapes(curve)
-    if len(escapes):
-        t0 = float(escapes[0])
-        return {"defined": False,
-                "reason": f"torsion vanishes at t≈{t0:.6g}",
-                "escapes": _listed(escapes)}
-    return {"defined": True, "spherical": False,
-            "cusps": _listed(evolute_cusps(curve))}
-
-
-def _pseudo_block(curve: Curve) -> dict:
-    if is_cylindrical(curve):
+def _verdict_block(verdict: Verdict) -> dict:
+    """The report's view of an evolute or pseudo-evolute verdict."""
+    err = verdict.error
+    reason = None if err is None else (
+        err.reason if err.t is None else f"{err.reason} at t≈{err.t:.6g}")
+    if verdict.construction == "evolute":
+        if err is not None:
+            return {"defined": False, "reason": reason,
+                    "escapes": _listed(verdict.escapes)}
+        return {"defined": True, "spherical": verdict.spherical,
+                "cusps": _listed(verdict.cusps)}
+    if verdict.cylindrical:
         return {"cylindrical": True}
-    return {"cylindrical": False,
-            "escapes": _listed(pseudo_escapes(curve)),
-            "cusps": _listed(pseudo_cusps(curve))}
+    if err is not None:
+        return {"cylindrical": False, "reason": reason}
+    return {"cylindrical": False, "escapes": _listed(verdict.escapes),
+            "cusps": _listed(verdict.cusps)}
 
 
 def _monodromy_block(curve: Curve) -> dict:
@@ -116,10 +116,7 @@ def _circles_block(curve: Curve, delta: float, checks: int = 32) -> dict:
 def curve_report(curve: Curve, samples: int = 1024,
                  circle_delta: float | None = None) -> dict:
     """Full numeric report; see README for the key-by-key schema."""
-    ts = curve.grid(samples)
-    if curve.cusps:
-        keep = np.min(np.abs(ts[:, None] - np.array(curve.cusps)), axis=1) > 1e-6
-        ts = ts[keep]
+    ts = probe_grid(curve, samples)
     fe = FrenetEval(curve, ts, order=4)
     with np.errstate(all="ignore"):
         k, tau, sigma = _finite(fe.k[0]), _finite(fe.tau[0]), fe.sigma[0]
@@ -129,8 +126,8 @@ def curve_report(curve: Curve, samples: int = 1024,
         "domain": [curve.domain[0], curve.domain[1]],
         "closed": curve.closed,
         "samples": int(samples),
-        "curvature_range": [float(k.min()), float(k.max())],
-        "torsion_range": [float(tau.min()), float(tau.max())],
+        "curvature_range": _span(k),
+        "torsion_range": _span(tau),
         "sigma_peak": sigma_peak,
     }
 
@@ -148,8 +145,10 @@ def curve_report(curve: Curve, samples: int = 1024,
     attempt("total_torsion", lambda: float(total_torsion(curve)))
     attempt("total_absolute_torsion",
             lambda: float(total_absolute_torsion(curve)))
-    attempt("evolute", lambda: _evolute_block(curve, sigma_peak))
-    attempt("pseudo_evolute", lambda: _pseudo_block(curve))
+    for key, construction in (("evolute", "evolute"),
+                              ("pseudo_evolute", "pseudo-evolute")):
+        attempt(key, lambda: _verdict_block(
+            classify(curve, construction, samples)))
     if curve.closed:
         attempt("monge_evolutes_closed",
                 lambda: bool(monge_evolutes_closed(curve)))

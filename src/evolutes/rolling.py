@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve
-from .errors import (IdentityMonodromy, IntegrationFailure, NotClosed,
-                     PureTranslation)
+from .curves import Curve, IntegratedCurve
+from .errors import IdentityMonodromy, NotClosed, PureTranslation
 from .frenet import FrenetEval
 from .quadrature import CumulativeIntegral
 from .taylor import antiderivative_jet, jet_mul, jet_sin_cos
@@ -54,7 +53,7 @@ class Development:
     frame (T, N) of the space curve at the starting parameter.
     """
 
-    def __init__(self, curve: Curve, rtol: float = 1e-11, panels: int = 64):
+    def __init__(self, curve: Curve):
         self.curve = curve
         a, b = curve.domain
 
@@ -62,20 +61,16 @@ class Development:
             fe = FrenetEval(curve, ts, order=2)
             return fe.k[0] * fe.v[0]
 
-        def speed(ts):
-            d1 = curve.derivatives(ts, 1)[1]
-            return np.linalg.norm(d1, axis=-1)
-
-        self._theta = CumulativeIntegral(kv, a, b, rtol=rtol, panels=panels)
+        self._theta = CumulativeIntegral(kv, a, b)
 
         def vx(ts):
-            return np.cos(self._theta(ts)) * speed(ts)
+            return np.cos(self._theta(ts)) * curve.speed(ts)
 
         def vy(ts):
-            return np.sin(self._theta(ts)) * speed(ts)
+            return np.sin(self._theta(ts)) * curve.speed(ts)
 
-        self._posx = CumulativeIntegral(vx, a, b, rtol=rtol, panels=panels)
-        self._posy = CumulativeIntegral(vy, a, b, rtol=rtol, panels=panels)
+        self._posx = CumulativeIntegral(vx, a, b)
+        self._posy = CumulativeIntegral(vy, a, b)
 
     def angle(self, t):
         return self._theta(t)
@@ -146,7 +141,7 @@ def monodromy(curve: Curve, development: Development | None = None) -> PlanarIso
     return PlanarIsometry(angle=end.angle, shift=end.point)
 
 
-class TracedInvoluteCurve(Curve):
+class TracedInvoluteCurve(IntegratedCurve):
     """Trajectory of one rolling-plane point: an involute of the base curve.
 
     The defining field w x (P - xi) with w = tau v T is integrated once;
@@ -154,42 +149,16 @@ class TracedInvoluteCurve(Curve):
     rule, using exact jets of the base curve.
     """
 
-    def __init__(self, base: Curve, start, rtol: float = 1e-11,
-                 atol: float = 1e-11, **kw):
+    def __init__(self, base: Curve, start, **kw):
         super().__init__(base.domain, **kw)
         self.base = base
         self.start = np.asarray(start, dtype=float)
-        self._integrate(rtol, atol)
+        self._integrate(self._field, self.start.copy(), "involute")
 
     def _field(self, t, P):
         fe = FrenetEval(self.base, t, order=3)
         w = fe.tau[0, 0] * fe.v[0, 0] * fe.T[0, 0]
         return np.cross(w, P - fe.x[0, 0])
-
-    def _integrate(self, rtol, atol):
-        from scipy.integrate import DOP853
-
-        a, b = self.domain
-        solver = DOP853(self._field, a, self.start.copy(), b,
-                        rtol=rtol, atol=atol)
-        segments, ends = [], []
-        while solver.status == "running":
-            if solver.step() is not None or solver.status == "failed":
-                raise IntegrationFailure(
-                    f"involute integration failed near t={solver.t:.9g}")
-            segments.append(solver.dense_output())
-            ends.append(solver.t)
-        self._segments = segments
-        self._ends = np.asarray(ends)
-
-    def _position(self, t: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(self._ends, t, side="left"),
-                      0, len(self._segments) - 1)
-        out = np.empty((len(t), 3))
-        for j in np.unique(idx):
-            mask = idx == j
-            out[mask] = self._segments[j](t[mask]).T
-        return out
 
     def derivatives(self, t, order: int) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -197,7 +166,7 @@ class TracedInvoluteCurve(Curve):
         fe = FrenetEval(self.base, np.clip(t, a, b), order=max(order, 1) + 2)
         w = jet_mul(jet_mul(fe.tau, fe.v), fe.T)
         out = np.empty((order + 1, len(t), 3))
-        out[0] = self._position(np.clip(t, a, b))
+        out[0] = self._state(np.clip(t, a, b))
         for m in range(order):
             acc = np.zeros((len(t), 3))
             for j in range(m + 1):
@@ -210,7 +179,7 @@ class TracedInvoluteCurve(Curve):
         return f"TracedInvoluteCurve({self.base!r}, start={self.start.tolist()})"
 
 
-def trace_involute(curve: Curve, start, **kw) -> TracedInvoluteCurve:
+def trace_involute(curve: Curve, start) -> TracedInvoluteCurve:
     """Involute through the given space point, which must lie on the initial
     osculating plane."""
     fe = FrenetEval(curve, curve.domain[0], order=3)
@@ -218,11 +187,11 @@ def trace_involute(curve: Curve, start, **kw) -> TracedInvoluteCurve:
     normal_part = abs(float(offset @ fe.B[0, 0]))
     if normal_part > 1e-8 * max(1.0, float(np.linalg.norm(offset))):
         raise ValueError("start point is not on the initial osculating plane")
-    return TracedInvoluteCurve(curve, start, **kw)
+    return TracedInvoluteCurve(curve, start)
 
 
-def closed_involute(curve: Curve, development: Development | None = None,
-                    **kw) -> TracedInvoluteCurve:
+def closed_involute(curve: Curve,
+                    development: Development | None = None) -> TracedInvoluteCurve:
     """The involute seeded at the monodromy fixed point.
 
     For a generic closed curve this is the unique closed involute; the
@@ -233,4 +202,4 @@ def closed_involute(curve: Curve, development: Development | None = None,
     p = iso.fixed_point()
     fe = FrenetEval(curve, curve.domain[0], order=3)
     start = fe.x[0, 0] + p[0] * fe.T[0, 0] + p[1] * fe.N[0, 0]
-    return TracedInvoluteCurve(curve, start, closed=True, **kw)
+    return TracedInvoluteCurve(curve, start, closed=True)

@@ -26,9 +26,16 @@ for _m in range(1, _MAX_ORDER + 1):
 del _m
 
 
+def _orders(m: int) -> int:
+    """m jet entries, if the binomial table covers them."""
+    if m > _MAX_ORDER + 1:
+        raise ValueError(f"jet order {m - 1} exceeds the maximum {_MAX_ORDER}")
+    return m
+
+
 def _match(f, g):
     """Trim to the shorter order; lift a scalar jet against a vector jet."""
-    m = min(len(f), len(g))
+    m = _orders(min(len(f), len(g)))
     f, g = np.asarray(f)[:m], np.asarray(g)[:m]
     if f.ndim == g.ndim - 1:
         f = f[..., None]
@@ -70,7 +77,7 @@ def jet_sqrt(f):
     f = np.asarray(f)
     out = np.empty_like(f)
     out[0] = np.sqrt(f[0])
-    for m in range(1, len(f)):
+    for m in range(1, _orders(len(f))):
         acc = f[m]
         for j in range(1, m):
             acc = acc - _C[m, j] * out[j] * out[m - j]
@@ -85,7 +92,7 @@ def jet_sin_cos(u):
     c = np.empty_like(u)
     s[0] = np.sin(u[0])
     c[0] = np.cos(u[0])
-    for m in range(len(u) - 1):
+    for m in range(_orders(len(u)) - 1):
         acc_s = 0.0
         acc_c = 0.0
         for j in range(m + 1):
@@ -98,7 +105,7 @@ def jet_sin_cos(u):
 
 def jet_dot(f, g):
     """Scalar-product jet of two vector jets."""
-    m = min(len(f), len(g))
+    m = _orders(min(len(f), len(g)))
     f, g = np.asarray(f)[:m], np.asarray(g)[:m]
     out = np.empty(np.broadcast_shapes(f.shape, g.shape)[:-1])
     for k in range(m):
@@ -110,7 +117,7 @@ def jet_dot(f, g):
 
 
 def jet_cross(f, g):
-    m = min(len(f), len(g))
+    m = _orders(min(len(f), len(g)))
     f, g = np.asarray(f)[:m], np.asarray(g)[:m]
     out = np.empty(np.broadcast_shapes(f.shape, g.shape))
     for k in range(m):

@@ -58,10 +58,46 @@ def test_cylindrical_pseudo_evolute_exits_3(capsys):
     ["frenet", "--preset", "helix", "--range", "2:1"],
     ["monge-involute", "--preset", "helix"],        # missing --length
     ["report", "--preset", "helix", "--format", "csv"],
+    ["frenet", "--preset", "helix", "--range=0:inf"],
+    ["frenet", "--preset", "helix", "--range=-1e308:1e308"],
+    ["frenet", "--preset", "helix", "--tol", "1e-3"],   # option retired
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert entry(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["evolute", "--expr", "cos(t),sin(t),0"], "EPS_TAU"),
+    (["evolute", "--expr", "t,2*t,3*t"], "EPS_K"),
+    (["pseudo-evolute", "--expr", "t,2*t,3*t"], "EPS_K"),
+    (["monge-evolute", "--expr", "t,2*t,3*t"], "EPS_K"),
+])
+def test_degenerate_curves_exit_3(argv, check, tmp_path, capsys):
+    out = tmp_path / "deg.csv"
+    assert entry(argv + ["--range", "0:1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "degenerate geometry" in err and check in err
+    assert not out.exists()
+
+
+def test_report_on_a_straight_line(tmp_path):
+    out = tmp_path / "line.json"
+    assert entry(["report", "--expr", "t,2*t,3*t", "--range", "0:1",
+                  "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["curvature_range"] == [0.0, 0.0]
+    assert payload["torsion_range"] is None
+    assert payload["evolute"]["defined"] is False
+    assert "EPS_K" in payload["evolute"]["reason"]
+    assert "EPS_K" in payload["pseudo_evolute"]["reason"]
+    assert "error" in payload["total_torsion"]
+
+
+def test_huge_range_does_not_overflow(capsys):
+    assert entry(["frenet", "--preset", "helix", "--range", "0:1e308",
+                  "--samples", "16"]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 17
 
 
 def test_frenet_stdout_csv(capsys):

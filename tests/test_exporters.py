@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from evolutes.envelope import developable_patch
-from evolutes.exporters import (atomic_write, export_csv, render_csv,
-                                render_json, render_obj, render_svg)
+from evolutes.exporters import (atomic_write, render_csv, render_json,
+                                render_obj, render_svg)
 
 
 def test_csv_roundtrips_full_precision():
@@ -89,6 +89,6 @@ def test_export_is_deterministic(tmp_path):
     ts = np.linspace(0, 1, 7)
     pts = np.stack([np.sin(ts), np.cos(ts), ts], axis=-1)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_csv(p1, ts, pts)
-    export_csv(p2, ts, pts)
+    atomic_write(p1, render_csv(ts, pts))
+    atomic_write(p2, render_csv(ts, pts))
     assert p1.read_bytes() == p2.read_bytes()

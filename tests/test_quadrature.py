@@ -50,3 +50,15 @@ def test_cumulative_inverse_roundtrip():
     vals = table(ts)
     back = table.inverse(vals)
     np.testing.assert_allclose(back, ts, atol=1e-10)
+
+
+def test_nan_integrand_stops_at_the_panel_cap():
+    # a NaN never meets its error budget; refinement must not grow the
+    # panel set until memory runs out
+    def nan(t):
+        return np.full(np.shape(t), np.nan)
+
+    with pytest.raises(IntegrationFailure):
+        adaptive_integral(nan, 0.0, 1.0)
+    with pytest.raises(IntegrationFailure):
+        CumulativeIntegral(nan, 0.0, 1.0)

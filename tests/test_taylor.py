@@ -5,8 +5,10 @@ leading axis; kernels must reproduce the derivatives of products, quotients,
 square roots, trig pairs, and arclength reparametrizations.
 """
 import numpy as np
+import pytest
 import sympy as sp
 
+from evolutes.frenet import FrenetEval
 from evolutes.taylor import (antiderivative_jet, arclength_derivative,
                              jet_cross, jet_div, jet_dot, jet_mul, jet_recip,
                              jet_sin_cos, jet_sqrt)
@@ -100,3 +102,11 @@ def test_antiderivative_jet_rows():
     assert out.shape[0] == FJ.shape[0] + 1
     _close(out[0], anchor, tol=0)
     _close(out[1:], FJ, tol=0)
+
+
+def test_orders_beyond_the_binomial_table_raise_value_error(helix):
+    with pytest.raises(ValueError, match="maximum 48"):
+        jet_mul(np.ones(60), np.ones(60))
+    with pytest.raises(ValueError, match="maximum 48"):
+        FrenetEval(helix, 0.5, order=60).sigma
+    assert len(jet_mul(np.ones(49), np.ones(49))) == 49
