@@ -18,7 +18,8 @@ from evolutes.cli import entry
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUTPUTS = ROOT / "outputs"
-_NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
+_NUMBER = re.compile(
+    r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b)")
 
 
 def _runs():
