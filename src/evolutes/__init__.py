@@ -23,7 +23,7 @@ from .evolute import (EvoluteCurve, conformal_torsion, evolute_curvature_torsion
                       evolute_points, interior_sign, osculating_circle,
                       osculating_circles_disjoint, osculating_sphere,
                       second_evolute_residual)
-from .expr import Expr, differentiate, evaluate, parse, parse_curve, to_source
+from .expr import Expr, evaluate, parse, parse_curve, to_source
 from .frenet import (CongruenceReport, FrenetEval, FrenetState, arclength,
                      frenet_at, indicatrix_geodesic_curvature, is_congruent,
                      sigma_values, total_absolute_torsion, total_curvature,

@@ -5,8 +5,10 @@ The checks, in order, on a probe grid that skips the declared cusps: k <=
 EPS_K everywhere leaves no construction defined; for the evolute, |tau| <=
 EPS_TAU everywhere (a planar curve) sends it to infinity and |sigma| <=
 SPHERICAL_SIGMA everywhere (a spherical curve) collapses it to a point;
-constant tau/k (a cylindrical curve) sends the pseudo-evolute to infinity.
-Escapes and cusps are the roots found by each construction's own module.
+constant tau/k (a cylindrical curve) sends the pseudo-evolute to infinity;
+constant k cos(alpha) (a circle, say) collapses the Monge evolute to a
+point.  Constant means a relative spread of at most CONSTANT_SPREAD.  Escapes and cusps are the roots found by each construction's own
+module.
 """
 from __future__ import annotations
 
@@ -16,14 +18,14 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import EPS_K, EPS_TAU, SPHERICAL_SIGMA, Curve
+from .curves import CONSTANT_SPREAD, EPS_K, EPS_TAU, SPHERICAL_SIGMA, Curve
 from .errors import (DegenerateCurvature, GeometryError, InfinityEscape,
                      TorsionVanishes)
 from .evolute import evolute_cusps, evolute_escapes, evolute_points
 from .frenet import FrenetEval
 from .monge import MongeEvoluteCurve, monge_escapes, monge_evolute_cusps
-from .pseudo import (PseudoEvoluteCurve, is_cylindrical, pseudo_cusps,
-                     pseudo_escapes)
+from .pseudo import (PseudoEvoluteCurve, is_constant, is_cylindrical,
+                     pseudo_cusps, pseudo_escapes)
 
 __all__ = ["Verdict", "classify", "probe_grid"]
 
@@ -95,6 +97,11 @@ def classify(curve: Curve, construction: str, samples: int,
     elif construction == "monge-evolute":
         ev = MongeEvoluteCurve(curve, alpha0, closed=curve.closed)
         point = ev.point
+        if is_constant(fe.k[0] * np.cos(ev.alpha(ts)), CONSTANT_SPREAD):
+            return verdict(GeometryError(
+                "k cos(alpha) is constant (relative spread <= CONSTANT_SPREAD="
+                f"{CONSTANT_SPREAD:g}): the Monge evolute degenerates to a"
+                " point", t=t0), point)
         cusps = _floats(monge_evolute_cusps(ev))
         escapes = _floats(monge_escapes(ev))
     else:

@@ -24,7 +24,7 @@ from .quadrature import CumulativeIntegral
 
 __all__ = ["Curve", "ExprCurve", "IntegratedCurve", "FrenetODECurve",
            "ArclengthMap", "branch_grids", "EPS_K", "EPS_TAU", "MIN_SPEED",
-           "CUSP_GAP", "SPHERICAL_SIGMA", "SIGMA_CLEARANCE"]
+           "CUSP_GAP", "SPHERICAL_SIGMA", "SIGMA_CLEARANCE", "CONSTANT_SPREAD"]
 
 # Regularity thresholds, shared by every check in the package.
 EPS_K = 1e-9             # curvature at or below this vanishes
@@ -33,6 +33,7 @@ MIN_SPEED = 1e-15        # speed at or below this is a cusp
 CUSP_GAP = 1e-12         # a parameter this close to a declared cusp is on it
 SPHERICAL_SIGMA = 1e-6   # |sigma| at or below this everywhere: spherical
 SIGMA_CLEARANCE = 1e-3   # |sigma| above this: clear of evolute cusps
+CONSTANT_SPREAD = 1e-9   # relative spread at or below this: a constant profile
 
 
 class Curve:
@@ -89,13 +90,6 @@ def branch_grids(domain, cuts, samples: int, margin=None):
     return grids
 
 
-def _nth(chain: list, m: int) -> ex.Expr:
-    """The m-th derivative in a chain [f, f', ...], extending it as needed."""
-    while len(chain) <= m:
-        chain.append(ex.differentiate(chain[-1]))
-    return chain[m]
-
-
 class ExprCurve(Curve):
     """Curve whose coordinates are closed-form expressions in t."""
 
@@ -106,15 +100,9 @@ class ExprCurve(Curve):
         self.components = tuple(components)
         if len(self.components) != 3:
             raise ValueError("need exactly 3 components")
-        self._derivs = [[c] for c in self.components]
 
     def derivatives(self, t, order: int) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((order + 1, len(t), 3))
-        for m in range(order + 1):
-            for i in range(3):
-                out[m, :, i] = ex.evaluate(_nth(self._derivs[i], m), t)
-        return out
+        return ex.jets(self.components, t, order)
 
     def __repr__(self):
         parts = ", ".join(ex.to_source(c) for c in self.components)
@@ -179,8 +167,6 @@ class FrenetODECurve(IntegratedCurve):
         super().__init__(domain, **kw)
         self.k_expr = ex.parse(curvature) if isinstance(curvature, str) else curvature
         self.tau_expr = ex.parse(torsion) if isinstance(torsion, str) else torsion
-        self._k_chain = [self.k_expr]
-        self._tau_chain = [self.tau_expr]
         if frame is None:
             frame = np.eye(3)
         y0 = np.concatenate([np.asarray(origin, dtype=float),
@@ -203,11 +189,9 @@ class FrenetODECurve(IntegratedCurve):
         N = np.empty((depth, n, 3))
         B = np.empty((depth, n, 3))
         T[0], N[0], B[0] = state[:, 3:6], state[:, 6:9], state[:, 9:12]
-        kj = np.empty((depth, n))
-        tj = np.empty((depth, n))
-        for j in range(depth - 1):
-            kj[j] = ex.evaluate(_nth(self._k_chain, j), t)
-            tj[j] = ex.evaluate(_nth(self._tau_chain, j), t)
+        if depth > 1:
+            ktau = ex.jets((self.k_expr, self.tau_expr), t, depth - 2)
+            kj, tj = ktau[..., 0], ktau[..., 1]
         for m in range(depth - 1):
             accT = np.zeros((n, 3))
             accN = np.zeros((n, 3))

@@ -1,14 +1,21 @@
-"""Tiny symbolic expression layer for curve components.
+"""Tiny expression layer for curve components.
 
 Supports one free variable t, the functions sin/cos/tan/exp/log/sqrt, the
 four arithmetic operators, and powers with constant exponent.  Expressions
 are parsed by recursive descent with conventional precedence
 (pow > unary minus > mul/div > add/sub, binary operators left associative,
-no implicit multiplication) and differentiated symbolically to any order.
+no implicit multiplication).
 
-Nodes are interned: structurally equal subtrees are the same object, so
-repeated differentiation yields compact DAGs and evaluation memoizes shared
-subtrees.  Angles are radians.  Evaluation accepts a float or an ndarray.
+Derivatives come from one forward pass through the tree (``jets``): every
+node becomes its truncated Taylor jet, the stack of its derivatives
+0..order at the query parameters, built with the kernels of ``taylor``.
+``evaluate`` is the order-0 case of the same pass.  Domain errors are
+decided on the values and name the first offending parameter.
+
+Within one parse (``parse_curve`` is one parse for all three components)
+nodes are interned: structurally equal subtrees are the same object, so a
+pass computes each shared subtree once.  Nothing is kept between parses.
+Angles are radians.
 """
 
 from __future__ import annotations
@@ -19,10 +26,12 @@ import re
 import numpy as np
 
 from .errors import DomainError, ParseError
+from .taylor import (jet_div, jet_exp, jet_log, jet_mul, jet_pow, jet_sin_cos,
+                     jet_sqrt)
 
 __all__ = [
     "Expr", "Const", "Var", "Unary", "Binary", "Pow",
-    "parse", "parse_curve", "differentiate", "evaluate", "to_source",
+    "parse", "parse_curve", "jets", "evaluate", "to_source",
 ]
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
@@ -74,50 +83,6 @@ class Pow(Expr):
 
 
 # ---------------------------------------------------------------------------
-# interning factories; keys use child identity, valid because pooled nodes
-# are never collected
-
-_POOL: dict = {}
-_T = Var()
-
-
-def const(value) -> Const:
-    key = ("c", repr(float(value)))
-    node = _POOL.get(key)
-    if node is None:
-        node = _POOL[key] = Const(value)
-    return node
-
-
-def var() -> Var:
-    return _T
-
-
-def unary(op, arg) -> Unary:
-    key = ("u", op, id(arg))
-    node = _POOL.get(key)
-    if node is None:
-        node = _POOL[key] = Unary(op, arg)
-    return node
-
-
-def binary(op, lhs, rhs) -> Binary:
-    key = ("b", op, id(lhs), id(rhs))
-    node = _POOL.get(key)
-    if node is None:
-        node = _POOL[key] = Binary(op, lhs, rhs)
-    return node
-
-
-def power(base, exponent) -> Pow:
-    key = ("p", id(base), repr(float(exponent)))
-    node = _POOL.get(key)
-    if node is None:
-        node = _POOL[key] = Pow(base, exponent)
-    return node
-
-
-# ---------------------------------------------------------------------------
 # tokenizer
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -154,10 +119,23 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text):
+    """Recursive descent over one text; ``pool`` interns the nodes it makes
+    and may be shared by the parses of one curve."""
+
+    def __init__(self, text, pool):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.pool = pool
+
+    def node(self, cls, *fields):
+        # children are keyed by identity: the pool keeps them alive
+        key = (cls,) + tuple(id(f) if isinstance(f, Expr) else repr(f)
+                             for f in fields)
+        got = self.pool.get(key)
+        if got is None:
+            got = self.pool[key] = cls(*fields)
+        return got
 
     def peek(self):
         return self.tokens[self.pos]
@@ -178,7 +156,7 @@ class _Parser:
         node = self.term()
         while self.peek()[0] in "+-":
             op = self.next()[0]
-            node = binary(op, node, self.term())
+            node = self.node(Binary, op, node, self.term())
         return node
 
     # term := factor (('*'|'/') factor)*
@@ -186,14 +164,14 @@ class _Parser:
         node = self.factor()
         while self.peek()[0] in "*/":
             op = self.next()[0]
-            node = binary(op, node, self.factor())
+            node = self.node(Binary, op, node, self.factor())
         return node
 
     # factor := '-' factor | power      (pow binds tighter than unary minus)
     def factor(self):
         if self.peek()[0] == "-":
             self.next()
-            return unary("neg", self.factor())
+            return self.node(Unary, "neg", self.factor())
         return self.power()
 
     # power := atom ('^' factor)?       (right associative, constant exponent)
@@ -202,27 +180,27 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             off = self.peek()[2]
-            exponent = self.factor()
-            value = _const_value(exponent)
-            if value is None:
+            # a pass over no parameters folds a subtree free of t to a float
+            value = _Pass(np.empty(0), 0).jet(self.factor())
+            if not isinstance(value, float):
                 raise ParseError("exponent must be constant", off)
-            return power(node, value)
+            return self.node(Pow, node, value)
         return node
 
     def atom(self):
         kind, value, off = self.next()
         if kind == "num":
-            return const(value)
+            return self.node(Const, value)
         if kind == "ident":
             if value == "t":
                 if self.peek()[0] == "(":
                     raise ParseError("'t' is not a function", off)
-                return var()
+                return self.node(Var)
             if value in _FUNCTIONS:
                 self.expect("(", "'(' after function name")
                 arg = self.expr()
                 self.expect(")", "')'")
-                return unary(value, arg)
+                return self.node(Unary, value, arg)
             raise ParseError(f"unknown identifier {value!r}", off)
         if kind == "(":
             node = self.expr()
@@ -233,39 +211,18 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", off)
 
 
-def _const_value(node):
-    """Fold a parse subtree to a float, or None if it references t."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return None
-    if isinstance(node, Unary):
-        v = _const_value(node.arg)
-        if v is None:
-            return None
-        if node.op == "neg":
-            return -v
-        return _apply_unary_scalar(node.op, v)
-    if isinstance(node, Binary):
-        a = _const_value(node.lhs)
-        b = _const_value(node.rhs)
-        if a is None or b is None:
-            return None
-        return _apply_binary_scalar(node.op, a, b)
-    if isinstance(node, Pow):
-        b = _const_value(node.base)
-        return None if b is None else _pow_scalar(b, node.exponent)
-    raise TypeError(node)
-
-
-def parse(text: str) -> Expr:
-    """Parse expression text into an AST; raises ParseError with offset."""
-    parser = _Parser(text)
+def _parse(text: str, pool: dict) -> Expr:
+    parser = _Parser(text, pool)
     node = parser.expr()
     kind, value, off = parser.peek()
     if kind != "end":
         raise ParseError(f"expected operator before {value!r}", off)
     return node
+
+
+def parse(text: str) -> Expr:
+    """Parse expression text into an AST; raises ParseError with offset."""
+    return _parse(text, {})
 
 
 def parse_curve(text: str):
@@ -282,264 +239,179 @@ def parse_curve(text: str):
     parts.append((start, text[start:]))
     if len(parts) != 3:
         raise ParseError(f"expected 3 comma-separated components, got {len(parts)}", 0)
-    out = []
+    out, pool = [], {}
     for off, chunk in parts:
         try:
-            out.append(parse(chunk))
+            out.append(_parse(chunk, pool))
         except ParseError as err:
             raise ParseError(str(err).rsplit(" (offset", 1)[0], err.offset + off) from None
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# differentiation; simplifying combinators keep the derivative DAGs small
+# Taylor-mode evaluation
 
-def _is_const(node, value=None):
-    return isinstance(node, Const) and (value is None or node.value == value)
-
-
-def _neg(a):
-    if _is_const(a):
-        return const(-a.value)
-    if isinstance(a, Unary) and a.op == "neg":
-        return a.arg
-    return unary("neg", a)
+_MATH = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+         "log": math.log, "sqrt": math.sqrt}
 
 
-def _add(a, b):
-    if _is_const(a) and _is_const(b):
-        return const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    return binary("+", a, b)
-
-
-def _sub(a, b):
-    if _is_const(a) and _is_const(b):
-        return const(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return _neg(b)
-    return binary("-", a, b)
-
-
-def _mul(a, b):
-    if _is_const(a) and _is_const(b):
-        return const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return const(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    return binary("*", a, b)
-
-
-def _div(a, b):
-    if _is_const(a, 0.0):
-        return const(0.0)
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
-        return const(a.value / b.value)
-    return binary("/", a, b)
-
-
-def _pow(a, p):
-    if p == 0.0:
-        return const(1.0)
-    if p == 1.0:
-        return a
-    return power(a, p)
-
-
-_DIFF: dict = {}
-
-
-def differentiate(e: Expr, order: int = 1) -> Expr:
-    """Exact derivative of e with respect to t, iterated `order` times."""
-    for _ in range(order):
-        e = _diff(e)
-    return e
-
-
-def _diff(e):
-    node = _DIFF.get(e)
-    if node is not None:
-        return node
-    if isinstance(e, Const):
-        node = const(0.0)
-    elif isinstance(e, Var):
-        node = const(1.0)
-    elif isinstance(e, Unary):
-        du = _diff(e.arg)
-        u = e.arg
-        if e.op == "neg":
-            node = _neg(du)
-        elif e.op == "sin":
-            node = _mul(unary("cos", u), du)
-        elif e.op == "cos":
-            node = _neg(_mul(unary("sin", u), du))
-        elif e.op == "tan":
-            sec2 = _add(const(1.0), _mul(unary("tan", u), unary("tan", u)))
-            node = _mul(sec2, du)
-        elif e.op == "exp":
-            node = _mul(unary("exp", u), du)
-        elif e.op == "log":
-            node = _div(du, u)
-        elif e.op == "sqrt":
-            node = _div(du, _mul(const(2.0), unary("sqrt", u)))
-        else:
-            raise ValueError(f"unknown function {e.op!r}")
-    elif isinstance(e, Binary):
-        da, db = _diff(e.lhs), _diff(e.rhs)
-        a, b = e.lhs, e.rhs
-        if e.op == "+":
-            node = _add(da, db)
-        elif e.op == "-":
-            node = _sub(da, db)
-        elif e.op == "*":
-            node = _add(_mul(da, b), _mul(a, db))
-        else:
-            node = _div(_sub(_mul(da, b), _mul(a, db)), _mul(b, b))
-    elif isinstance(e, Pow):
-        node = _mul(_mul(const(e.exponent), _pow(e.base, e.exponent - 1.0)),
-                    _diff(e.base))
-    else:
-        raise TypeError(e)
-    _DIFF[e] = node
-    return node
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-def _apply_unary_scalar(op, x):
+def _saturate(fn, x: float) -> float:
+    """fn(x) on a float, saturating as numpy does: an overflow gives inf,
+    the sine, cosine or tangent of an infinity gives nan."""
     try:
-        if op == "sin":
-            return math.sin(x)
-        if op == "cos":
-            return math.cos(x)
-        if op == "tan":
-            return math.tan(x)
-        if op == "exp":
-            return math.exp(x)
-        if op == "log":
-            if x <= 0.0:
-                raise DomainError(f"log of non-positive value {x!r}")
-            return math.log(x)
-        if op == "sqrt":
-            if x < 0.0:
-                raise DomainError(f"sqrt of negative value {x!r}")
-            return math.sqrt(x)
+        return fn(x)
     except OverflowError:
         return math.inf
-    raise ValueError(f"unknown function {op!r}")
+    except ValueError:
+        return math.nan
 
 
-def _apply_binary_scalar(op, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if b == 0.0:
-        raise DomainError("division by zero")
-    return a / b
+class _Pass:
+    """One forward pass at the parameters t up to the given order.
 
+    A node's jet is an array of shape (order+1, N) for an array t (1-D),
+    and a float when the node does not depend on t, or when t is a float
+    (order 0 only).  The memo holds each node's jet, and the sin/cos pair
+    of each argument, for the length of the pass.
+    """
 
-def _pow_scalar(x, p):
-    if p != round(p) and x < 0.0:
-        raise DomainError(f"negative base {x!r} with non-integer exponent")
-    if x == 0.0 and p < 0.0:
-        raise DomainError("zero base with negative exponent")
-    try:
-        return math.pow(x, p)
-    except OverflowError:
-        negative = x < 0.0 and round(p) % 2 == 1
-        return -math.inf if negative else math.inf
+    def __init__(self, t, order: int):
+        self.t = t
+        self.order = order
+        self.memo = {}
 
-
-def _apply_unary_array(op, x):
-    if op == "sin":
-        return np.sin(x)
-    if op == "cos":
-        return np.cos(x)
-    if op == "tan":
-        return np.tan(x)
-    if op == "exp":
-        return np.exp(x)
-    if op == "log":
-        if np.any(x <= 0.0):
-            raise DomainError("log of non-positive value")
-        return np.log(x)
-    if op == "sqrt":
-        if np.any(x < 0.0):
-            raise DomainError("sqrt of negative value")
-        return np.sqrt(x)
-    raise ValueError(f"unknown function {op!r}")
-
-
-def _eval(e, t, memo, is_array):
-    key = id(e)
-    got = memo.get(key)
-    if got is not None:
+    def jet(self, e):
+        got = self.memo.get(e)
+        if got is None:
+            got = self.memo[e] = self._node(e)
         return got
-    if isinstance(e, Const):
-        out = e.value
-    elif isinstance(e, Var):
-        out = t
-    elif isinstance(e, Unary):
-        x = _eval(e.arg, t, memo, is_array)
-        if e.op == "neg":
-            out = -x
-        elif is_array:
-            out = _apply_unary_array(e.op, x)
-        else:
-            out = _apply_unary_scalar(e.op, x)
-    elif isinstance(e, Binary):
-        a = _eval(e.lhs, t, memo, is_array)
-        b = _eval(e.rhs, t, memo, is_array)
-        if e.op == "+":
-            out = a + b
-        elif e.op == "-":
-            out = a - b
-        elif e.op == "*":
-            out = a * b
-        else:
-            if np.any(b == 0.0) if is_array else b == 0.0:
-                raise DomainError("division by zero")
-            out = a / b
-    elif isinstance(e, Pow):
-        x = _eval(e.base, t, memo, is_array)
-        p = e.exponent
-        if is_array:
-            if p != round(p) and np.any(x < 0.0):
-                raise DomainError("negative base with non-integer exponent")
-            if p < 0.0 and np.any(x == 0.0):
-                raise DomainError("zero base with negative exponent")
-            out = np.power(x, p)
-        else:
-            out = _pow_scalar(x, p)
-    else:
+
+    def check(self, bad, what):
+        """Raise DomainError where the boolean value row bad holds."""
+        if not isinstance(bad, np.ndarray):
+            if bad:
+                raise DomainError(what)
+        elif bad.any():
+            t = self.t[np.argmax(bad)]
+            raise DomainError(f"{what} at t={t:.9g}")
+
+    def _node(self, e):
+        kind = type(e)
+        if kind is Const:
+            return e.value
+        if kind is Binary:
+            return self._binary(e.op, self.jet(e.lhs), self.jet(e.rhs))
+        if kind is Unary:
+            x = self.jet(e.arg)
+            return -x if e.op == "neg" else self._function(e.op, e.arg, x)
+        if kind is Pow:
+            return self._power(self.jet(e.base), e.exponent)
+        if kind is Var:
+            if type(self.t) is float:
+                return self.t
+            out = np.zeros((self.order + 1, len(self.t)))
+            out[0] = self.t
+            if self.order:
+                out[1] = 1.0
+            return out
         raise TypeError(e)
-    memo[key] = out
+
+    def _function(self, op, arg, x):
+        scalar = isinstance(x, float)
+        value = x if scalar else x[0]
+        if op == "log":
+            self.check(value <= 0.0, "log of non-positive value")
+        elif op == "sqrt":
+            self.check(value < 0.0, "sqrt of negative value")
+            if self.order and not scalar:
+                self.check(value == 0.0, "sqrt of zero has no derivative")
+        if scalar and op in _MATH:
+            return _saturate(_MATH[op], x)
+        if op in ("sin", "cos", "tan"):
+            key = ("sin_cos", arg)
+            pair = self.memo.get(key)
+            if pair is None:
+                pair = self.memo[key] = jet_sin_cos(x)
+            if op != "tan":
+                return pair[op == "cos"]
+            out = jet_div(*pair)
+            out[0] = np.tan(value)
+            return out
+        if op == "exp":
+            return jet_exp(x)
+        if op == "log":
+            return jet_log(x)
+        if op == "sqrt":
+            return jet_sqrt(x)
+        raise ValueError(f"unknown function {op!r}")
+
+    def _binary(self, op, a, b):
+        a_scalar, b_scalar = isinstance(a, float), isinstance(b, float)
+        if op == "*":
+            return a * b if a_scalar or b_scalar else jet_mul(a, b)
+        if op == "/":
+            self.check(b == 0.0 if b_scalar else b[0] == 0.0, "division by zero")
+            if b_scalar:
+                return a / b
+            if a_scalar:
+                num = np.zeros_like(b)
+                num[0] = a
+                a = num
+            return jet_div(a, b)
+        if op == "-":
+            b = -b
+        if a_scalar == b_scalar:
+            return a + b
+        out = (b if a_scalar else a).copy()
+        out[0] += a if a_scalar else b
+        return out
+
+    def _power(self, x, p):
+        scalar = isinstance(x, float)
+        value = x if scalar else x[0]
+        if not p.is_integer():
+            self.check(value < 0.0, "negative base with non-integer exponent")
+            if self.order and not scalar:
+                self.check(value == 0.0,
+                           "non-integer power of zero has no derivative")
+        if p < 0.0:
+            self.check(value == 0.0, "zero base with negative exponent")
+        if not scalar:
+            return jet_pow(x, p)
+        try:
+            return x ** p
+        except OverflowError:
+            return -math.inf if x < 0.0 and p % 2.0 == 1.0 else math.inf
+
+
+# Parameters per pass: a pass holds the jet of every node at once, so long
+# parameter arrays go through in slices of this many points.
+_SLICE = 4096
+
+
+def jets(exprs, t, order: int) -> np.ndarray:
+    """Derivatives 0..order of each expression at the parameters t, shape
+    (order+1, N, len(exprs)); subtrees the expressions share are computed
+    once per pass.  Raises DomainError as needed."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros((order + 1, len(t), len(exprs)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, len(t), _SLICE):
+            run = _Pass(t[lo:lo + _SLICE], order)
+            for i, e in enumerate(exprs):
+                jet = run.jet(e)
+                if isinstance(jet, float):
+                    out[0, lo:lo + _SLICE, i] = jet
+                else:
+                    out[:, lo:lo + _SLICE, i] = jet
     return out
 
 
 def evaluate(e: Expr, t):
     """Evaluate e at t (float or ndarray).  Raises DomainError as needed."""
     if isinstance(t, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = _eval(e, t, {}, True)
-        if np.ndim(out) == 0:
-            out = np.full(t.shape, float(out))
-        return out
-    return _eval(e, float(t), {}, False)
+        return jets((e,), t.ravel(), 0)[0, :, 0].reshape(t.shape)
+    return _Pass(float(t), 0).jet(e)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ radius r, its arclength derivative, and the cusp density
 which is the speed of the evolute with respect to arc length of the base
 curve and vanishes exactly at evolute cusps.  All quantities are vectorized
 over the query parameters and computed to whatever jet order the raw stack
-supports, so derived curves can in turn be differentiated exactly.
+supports, so derived curves in turn have exact derivatives.
 
 Conventions: curvature is nonnegative, torsion is signed by det(x', x'',
 x''') and d/ds denotes the arclength derivative.

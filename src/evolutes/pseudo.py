@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import Curve
+from .curves import CONSTANT_SPREAD, Curve
 from .errors import InfinityEscape
 from .frenet import FrenetEval, jet_sum
 from .roots import find_roots
@@ -38,8 +38,8 @@ from .taylor import arclength_derivative, jet_div, jet_mul
 
 __all__ = [
     "pseudo_evolute_point", "pseudo_evolute_points", "PseudoEvoluteCurve",
-    "pseudo_escapes", "pseudo_cusps", "is_cylindrical", "geodesic_residual",
-    "PseudoInvoluteCurve", "pseudo_involute",
+    "pseudo_escapes", "pseudo_cusps", "is_cylindrical", "is_constant",
+    "geodesic_residual", "PseudoInvoluteCurve", "pseudo_involute",
 ]
 
 
@@ -143,18 +143,23 @@ def pseudo_cusps(curve: Curve, samples: int = 2048) -> np.ndarray:
 
 
 def is_cylindrical(curve: Curve, samples: int = 512,
-                   rtol: float = 1e-9) -> bool:
+                   rtol: float = CONSTANT_SPREAD) -> bool:
     """True when tau/k is constant, so the rectifying developable is a
     cylinder and the pseudo-evolute is everywhere at infinity."""
     ts = curve.grid(samples + 1)[:-1] if curve.closed else curve.grid(samples)
     fe = FrenetEval(curve, ts, order=3)
     with np.errstate(all="ignore"):
-        ratio = fe.tau[0] / fe.k[0]
-    ratio = ratio[np.isfinite(ratio)]
-    if ratio.size == 0:
+        return is_constant(fe.tau[0] / fe.k[0], rtol)
+
+
+def is_constant(values, rtol: float) -> bool:
+    """True when the finite values exist and spread by at most rtol times
+    the largest of them in size."""
+    values = values[np.isfinite(values)]
+    if values.size == 0:
         return False
-    scale = max(float(np.max(np.abs(ratio))), 1e-30)
-    return float(np.max(ratio) - np.min(ratio)) <= rtol * scale
+    scale = max(float(np.max(np.abs(values))), 1e-30)
+    return float(np.max(values) - np.min(values)) <= rtol * scale
 
 
 def geodesic_residual(curve: Curve, ts) -> np.ndarray:

@@ -45,7 +45,8 @@ _MAX_LIVE_PANELS = 4096
 
 
 def _gk15(f, a, b):
-    """Kronrod estimate and error for panels [a_i, b_i]; a, b are arrays."""
+    """Kronrod estimate and error for panels [a_i, b_i], and the integrand
+    values at the nodes (one row per panel); a, b are arrays."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
@@ -54,17 +55,22 @@ def _gk15(f, a, b):
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     kron = (y @ _WK) * half
     gauss = (y[:, 1::2] @ _WG) * half
-    return kron, np.abs(kron - gauss)
+    return kron, np.abs(kron - gauss), y
 
 
 def _refine(f, edges, rtol: float, atol: float, failure: str):
     """Bisect the panels between edges until each meets its share of the
-    error budget; the accepted left ends and values, round by round."""
+    error budget; the accepted left ends and values, round by round.  A
+    round in which no integrand value is finite ends the refinement."""
     lo, hi = edges[:-1], edges[1:]
     width = abs(edges[-1] - edges[0])
     keep_lo, keep_val = [], []
     for _ in range(_MAX_ROUNDS):
-        vals, errs = _gk15(f, lo, hi)
+        vals, errs, nodes = _gk15(f, lo, hi)
+        if not np.isfinite(nodes).any():
+            raise IntegrationFailure(
+                f"{failure} on [{edges[0]:.6g}, {edges[-1]:.6g}]:"
+                " no finite integrand value")
         scale = max(abs(sum(v.sum() for v in keep_val) + vals.sum()), atol)
         budget = (np.abs(hi - lo) / width) * max(atol, rtol * scale)
         ok = errs <= budget
@@ -127,7 +133,7 @@ class CumulativeIntegral:
         i = np.clip(np.searchsorted(self.edges, t, side="right") - 1,
                     0, len(self.edges) - 2)
         start = self.edges[i]
-        partial, _ = _gk15(self.f, start, t)
+        partial = _gk15(self.f, start, t)[0]
         out = self.table[i] + partial
         return float(out[0]) if scalar else out
 

@@ -4,9 +4,10 @@ A jet stores plain derivative values (not divided by factorials) along axis
 0: ``f[m]`` is the m-th derivative of f at the expansion point.  Trailing
 axes are free, so the same kernels serve scalar jets of shape (M+1, N) and
 vector jets of shape (M+1, N, 3) vectorized over N sample points.  Products
-and quotients follow the Leibniz rule; quotient, square root, and sin/cos
-use the standard triangular recurrences.  Binary operations truncate to the
-shorter operand.
+and quotients follow the Leibniz rule; quotient, square root, sin/cos, exp,
+log and constant powers use the standard triangular recurrences (Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  Binary operations
+truncate to the shorter operand.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "jet_mul", "jet_div", "jet_recip", "jet_sqrt", "jet_sin_cos",
-    "jet_dot", "jet_cross", "arclength_derivative", "antiderivative_jet",
+    "jet_mul", "jet_div", "jet_recip", "jet_sqrt", "jet_sin_cos", "jet_exp",
+    "jet_log", "jet_pow", "jet_dot", "jet_cross", "arclength_derivative",
+    "antiderivative_jet",
 ]
 
 _MAX_ORDER = 48
@@ -85,13 +87,27 @@ def jet_sqrt(f):
     return out
 
 
+def _affine(f) -> bool:
+    """True when every row of f past the first derivative is zero."""
+    return not f[2:].any()
+
+
 def jet_sin_cos(u):
-    """Jets of sin(u) and cos(u) from the jet of the phase u."""
+    """Jets of sin(u) and cos(u) from the jet of the phase u; an affine
+    phase takes the closed form b**m sin(u + m pi/2)."""
     u = np.asarray(u)
     s = np.empty_like(u)
     c = np.empty_like(u)
     s[0] = np.sin(u[0])
     c[0] = np.cos(u[0])
+    if _affine(u):
+        quarter = (s[0], c[0], -s[0], -c[0])
+        scale = 1.0
+        for m in range(1, _orders(len(u))):
+            scale = scale * u[1]
+            s[m] = scale * quarter[m % 4]
+            c[m] = scale * quarter[(m + 1) % 4]
+        return s, c
     for m in range(_orders(len(u)) - 1):
         acc_s = 0.0
         acc_c = 0.0
@@ -101,6 +117,75 @@ def jet_sin_cos(u):
         s[m + 1] = acc_s
         c[m + 1] = -acc_c
     return s, c
+
+
+def jet_exp(f):
+    """Jet of exp(f), from exp(f)' = f' exp(f)."""
+    f = np.asarray(f)
+    out = np.empty_like(f)
+    out[0] = np.exp(f[0])
+    if _affine(f):
+        for m in range(1, _orders(len(f))):
+            out[m] = f[1] * out[m - 1]
+        return out
+    for m in range(_orders(len(f)) - 1):
+        acc = _C[m, 0] * f[1] * out[m]
+        for j in range(1, m + 1):
+            acc = acc + _C[m, j] * f[j + 1] * out[m - j]
+        out[m + 1] = acc
+    return out
+
+
+def jet_log(f):
+    """Jet of log(f), from log(f)' = f' / f."""
+    f = np.asarray(f)
+    out = np.empty_like(f)
+    out[0] = np.log(f[0])
+    out[1:] = jet_div(f[1:], f[:-1])
+    return out
+
+
+def jet_pow(f, p: float):
+    """Jet of f**p for a constant exponent p.
+
+    An affine f takes the closed form p (p-1) ... (p-m+1) b**m f**(p-m).
+    Otherwise a non-negative integer p takes repeated products, and any
+    other p the recurrence f (f**p)' = p f' f**p, which divides by f[0].
+    Both closed form and products are exact where f vanishes.  The value
+    row is np.power(f[0], p) in every case.
+    """
+    f = np.asarray(f)
+    m = _orders(len(f))
+    if _affine(f):
+        out = np.zeros_like(f)
+        out[0] = np.power(f[0], p)
+        scale = 1.0
+        for j in range(1, m):
+            if p - j + 1 == 0.0:     # an integer p leaves no rows past p
+                break
+            scale = scale * ((p - j + 1) * f[1])
+            out[j] = scale * np.power(f[0], p - j)
+        return out
+    if p >= 0.0 and float(p).is_integer():
+        out, base, n = None, f, int(p)
+        while n:
+            if n & 1:
+                out = base if out is None else jet_mul(out, base)
+            n >>= 1
+            if n:
+                base = jet_mul(base, base)
+        out = np.zeros_like(f) if out is None else out.copy()
+        out[0] = np.power(f[0], p)
+        return out
+    out = np.empty_like(f)
+    out[0] = np.power(f[0], p)
+    for m in range(len(f) - 1):
+        acc = p * f[1] * out[m]
+        for j in range(1, m + 1):
+            acc = acc + _C[m, j] * (p * f[j + 1] * out[m - j]
+                                    - f[j] * out[m + 1 - j])
+        out[m + 1] = acc / f[0]
+    return out
 
 
 def jet_dot(f, g):

@@ -72,6 +72,7 @@ def test_usage_errors_exit_2(argv, capsys):
     (["evolute", "--expr", "t,2*t,3*t"], "EPS_K"),
     (["pseudo-evolute", "--expr", "t,2*t,3*t"], "EPS_K"),
     (["monge-evolute", "--expr", "t,2*t,3*t"], "EPS_K"),
+    (["monge-evolute", "--expr", "cos(t),sin(t),0"], "k cos(alpha) is constant"),
 ])
 def test_degenerate_curves_exit_3(argv, check, tmp_path, capsys):
     out = tmp_path / "deg.csv"
@@ -79,6 +80,13 @@ def test_degenerate_curves_exit_3(argv, check, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "degenerate geometry" in err and check in err
     assert not out.exists()
+
+
+def test_domain_error_names_the_parameter(capsys):
+    # the root scans' grid of (-1, 1) holds t = 0, where 1/t has its pole
+    assert entry(["evolute", "--expr", "t,1/t,t^2", "--range", "-1:1"]) == 2
+    err = capsys.readouterr().err
+    assert "division by zero at t=0" in err
 
 
 def test_report_on_a_straight_line(tmp_path):

@@ -55,10 +55,20 @@ def test_cumulative_inverse_roundtrip():
 def test_nan_integrand_stops_at_the_panel_cap():
     # a NaN never meets its error budget; refinement must not grow the
     # panel set until memory runs out
+    rounds = []
+
     def nan(t):
+        rounds.append(t)
         return np.full(np.shape(t), np.nan)
 
     with pytest.raises(IntegrationFailure):
         adaptive_integral(nan, 0.0, 1.0)
     with pytest.raises(IntegrationFailure):
         CumulativeIntegral(nan, 0.0, 1.0)
+    assert len(rounds) == 2         # no finite value: one round each
+
+    def half_nan(t):
+        return np.where(t < 0.5, np.nan, 1.0)
+
+    with pytest.raises(IntegrationFailure):
+        adaptive_integral(half_nan, 0.0, 1.0)

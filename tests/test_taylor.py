@@ -2,7 +2,8 @@
 
 A jet here is an array of plain derivatives f, f', f'', ... stacked on the
 leading axis; kernels must reproduce the derivatives of products, quotients,
-square roots, trig pairs, and arclength reparametrizations.
+square roots, trig pairs, exp, log, constant powers, and arclength
+reparametrizations.
 """
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import sympy as sp
 
 from evolutes.frenet import FrenetEval
 from evolutes.taylor import (antiderivative_jet, arclength_derivative,
-                             jet_cross, jet_div, jet_dot, jet_mul, jet_recip,
-                             jet_sin_cos, jet_sqrt)
+                             jet_cross, jet_div, jet_dot, jet_exp, jet_log,
+                             jet_mul, jet_pow, jet_recip, jet_sin_cos,
+                             jet_sqrt)
 
 _T = sp.Symbol("t")
 
@@ -31,8 +33,11 @@ ORDER = 6
 F = _T ** 3 + 2 * _T - 1
 G = sp.sin(_T) + sp.Rational(3, 2)
 
+H = 3 * _T - 1          # affine: exp, sin/cos and pow take closed forms
+
 FJ = _jet_of(F, TS, ORDER)
 GJ = _jet_of(G, TS, ORDER)
+HJ = _jet_of(H, TS, ORDER)
 
 
 def _close(a, b, tol=1e-9):
@@ -59,6 +64,21 @@ def test_jet_sin_cos():
     s, c = jet_sin_cos(FJ)
     _close(s, _jet_of(sp.sin(F), TS, ORDER))
     _close(c, _jet_of(sp.cos(F), TS, ORDER))
+    s, c = jet_sin_cos(HJ)
+    _close(s, _jet_of(sp.sin(H), TS, ORDER))
+    _close(c, _jet_of(sp.cos(H), TS, ORDER))
+
+
+def test_jet_exp_and_log():
+    _close(jet_exp(FJ), _jet_of(sp.exp(F), TS, ORDER))
+    _close(jet_exp(HJ), _jet_of(sp.exp(H), TS, ORDER))
+    _close(jet_log(GJ), _jet_of(sp.log(G), TS, ORDER))
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, sp.Rational(5, 2), -2])
+def test_jet_pow(p):
+    for base, jet in ((G, GJ), (H, HJ)):
+        _close(jet_pow(jet, float(p)), _jet_of(base ** p, TS, ORDER))
 
 
 def test_mismatched_lengths_truncate():
