@@ -287,13 +287,21 @@ class _Pass:
         return got
 
     def check(self, bad, what):
-        """Raise DomainError where the boolean value row bad holds."""
-        if not isinstance(bad, np.ndarray):
-            if bad:
-                raise DomainError(what)
-        elif bad.any():
+        """Raise DomainError where the boolean value row bad holds, naming
+        the first offending parameter (a pass over none names none)."""
+        if isinstance(bad, np.ndarray):
+            if not bad.any():
+                return
             t = self.t[np.argmax(bad)]
-            raise DomainError(f"{what} at t={t:.9g}")
+        elif not bad:
+            return
+        elif type(self.t) is float:
+            t = self.t
+        elif len(self.t):
+            t = self.t[0]       # a value free of t fails at every parameter
+        else:
+            raise DomainError(what)
+        raise DomainError(f"{what} at t={t:.9g}")
 
     def _node(self, e):
         kind = type(e)
@@ -371,11 +379,11 @@ class _Pass:
         value = x if scalar else x[0]
         if not p.is_integer():
             self.check(value < 0.0, "negative base with non-integer exponent")
-            if self.order and not scalar:
-                self.check(value == 0.0,
-                           "non-integer power of zero has no derivative")
         if p < 0.0:
             self.check(value == 0.0, "zero base with negative exponent")
+        elif p < self.order and not (scalar or p.is_integer()):
+            self.check(value == 0.0, "non-integer power of zero has no "
+                       f"derivative of order {math.ceil(p)}")
         if not scalar:
             return jet_pow(x, p)
         try:

@@ -87,27 +87,13 @@ def jet_sqrt(f):
     return out
 
 
-def _affine(f) -> bool:
-    """True when every row of f past the first derivative is zero."""
-    return not f[2:].any()
-
-
 def jet_sin_cos(u):
-    """Jets of sin(u) and cos(u) from the jet of the phase u; an affine
-    phase takes the closed form b**m sin(u + m pi/2)."""
+    """Jets of sin(u) and cos(u) from the jet of the phase u."""
     u = np.asarray(u)
     s = np.empty_like(u)
     c = np.empty_like(u)
     s[0] = np.sin(u[0])
     c[0] = np.cos(u[0])
-    if _affine(u):
-        quarter = (s[0], c[0], -s[0], -c[0])
-        scale = 1.0
-        for m in range(1, _orders(len(u))):
-            scale = scale * u[1]
-            s[m] = scale * quarter[m % 4]
-            c[m] = scale * quarter[(m + 1) % 4]
-        return s, c
     for m in range(_orders(len(u)) - 1):
         acc_s = 0.0
         acc_c = 0.0
@@ -124,10 +110,6 @@ def jet_exp(f):
     f = np.asarray(f)
     out = np.empty_like(f)
     out[0] = np.exp(f[0])
-    if _affine(f):
-        for m in range(1, _orders(len(f))):
-            out[m] = f[1] * out[m - 1]
-        return out
     for m in range(_orders(len(f)) - 1):
         acc = _C[m, 0] * f[1] * out[m]
         for j in range(1, m + 1):
@@ -148,24 +130,14 @@ def jet_log(f):
 def jet_pow(f, p: float):
     """Jet of f**p for a constant exponent p.
 
-    An affine f takes the closed form p (p-1) ... (p-m+1) b**m f**(p-m).
-    Otherwise a non-negative integer p takes repeated products, and any
-    other p the recurrence f (f**p)' = p f' f**p, which divides by f[0].
-    Both closed form and products are exact where f vanishes.  The value
-    row is np.power(f[0], p) in every case.
+    A non-negative integer p takes repeated products, exact where f
+    vanishes.  Any other p takes the recurrence f (f**p)' = p f' f**p, which
+    divides by f[0]; where f[0] is 0, f**p vanishes to order p, so its rows
+    below p are 0 and those past p are nan.  The value row is
+    np.power(f[0], p) in every case.
     """
     f = np.asarray(f)
-    m = _orders(len(f))
-    if _affine(f):
-        out = np.zeros_like(f)
-        out[0] = np.power(f[0], p)
-        scale = 1.0
-        for j in range(1, m):
-            if p - j + 1 == 0.0:     # an integer p leaves no rows past p
-                break
-            scale = scale * ((p - j + 1) * f[1])
-            out[j] = scale * np.power(f[0], p - j)
-        return out
+    _orders(len(f))
     if p >= 0.0 and float(p).is_integer():
         out, base, n = None, f, int(p)
         while n:
@@ -179,12 +151,14 @@ def jet_pow(f, p: float):
         return out
     out = np.empty_like(f)
     out[0] = np.power(f[0], p)
+    zero = f[0] == 0.0
+    base = np.where(zero, 1.0, f[0])
     for m in range(len(f) - 1):
         acc = p * f[1] * out[m]
         for j in range(1, m + 1):
             acc = acc + _C[m, j] * (p * f[j + 1] * out[m - j]
                                     - f[j] * out[m + 1 - j])
-        out[m + 1] = acc / f[0]
+        out[m + 1] = np.where(zero, 0.0 if m + 1 < p else np.nan, acc / base)
     return out
 
 

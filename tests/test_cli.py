@@ -89,6 +89,14 @@ def test_domain_error_names_the_parameter(capsys):
     assert "division by zero at t=0" in err
 
 
+def test_zero_base_below_its_exponent_has_a_frame(tmp_path):
+    # the frame needs derivatives up to order 4 < 4.5, all 0 at t = 0
+    out = tmp_path / "frame.csv"
+    assert entry(["frenet", "--expr", "t,t^2,t^4.5", "--range", "0:1",
+                  "--out", str(out)]) == 0
+    assert out.read_text().count("\n") > 1
+
+
 def test_report_on_a_straight_line(tmp_path):
     out = tmp_path / "line.json"
     assert entry(["report", "--expr", "t,2*t,3*t", "--range", "0:1",

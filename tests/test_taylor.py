@@ -33,7 +33,7 @@ ORDER = 6
 F = _T ** 3 + 2 * _T - 1
 G = sp.sin(_T) + sp.Rational(3, 2)
 
-H = 3 * _T - 1          # affine: exp, sin/cos and pow take closed forms
+H = 3 * _T - 1          # affine: every row past the first derivative is 0
 
 FJ = _jet_of(F, TS, ORDER)
 GJ = _jet_of(G, TS, ORDER)
@@ -79,6 +79,15 @@ def test_jet_exp_and_log():
 def test_jet_pow(p):
     for base, jet in ((G, GJ), (H, HJ)):
         _close(jet_pow(jet, float(p)), _jet_of(base ** p, TS, ORDER))
+
+
+def test_jet_pow_of_a_zero_base():
+    # f = t + t^2 at t = 0: f^2.5 vanishes to order 2.5
+    f = np.array([0.0, 1.0, 2.0, 0.0, 0.0])
+    out = jet_pow(f, 2.5)
+    assert np.array_equal(out[:3], np.zeros(3))
+    assert np.isnan(out[3:]).all()
+    assert np.array_equal(jet_pow(f, 3.0)[:4], [0.0, 0.0, 0.0, 6.0])
 
 
 def test_mismatched_lengths_truncate():
