@@ -111,40 +111,22 @@ def test_parse_curve_offsets_are_global():
     ("t^-1", 0.0),
 ])
 def test_domain_errors(text, t):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=f"at t={t:.9g}$"):
         evaluate(parse(text), t)
 
 
 @pytest.mark.parametrize("text, order", [
     ("sqrt(t)", 1), ("t^0.5", 1), ("(t*t)^0.75", 1), ("t^1.5", 2),
-    ("(t*t + t)^2.5", 3),
+    ("(t*t + t)^2.5", 3), ("t^4.5", 5), ("(2*t)^4.5", 5),
 ])
 def test_zero_base_has_no_derivative(text, order):
-    # f^p at a zero of f has derivatives below p only
+    # f^p at a zero of f: the derivatives below p are 0, those above p
+    # do not exist
     e = parse(text)
-    assert evaluate(e, 0.0) == 0.0
-    jets((e,), np.array([1.0, 0.0]), order - 1)
+    below = jets((e,), np.array([0.0]), order - 1)
+    assert np.array_equal(below, np.zeros((order, 1, 1)))
     with pytest.raises(DomainError, match="at t=0"):
         jets((e,), np.array([1.0, 0.0]), order)
-
-
-@pytest.mark.parametrize("text, order", [
-    ("t^1.5", 1), ("(t*t + t)^2.5", 2), ("t^4.5", 4), ("(2*t)^4.5", 4),
-])
-def test_zero_base_rows_below_the_exponent_vanish(text, order):
-    stack = jets((parse(text),), np.array([0.0]), order)
-    assert np.array_equal(stack, np.zeros((order + 1, 1, 1)))
-
-
-@pytest.mark.parametrize("text, message", [
-    ("log(t)", "log of non-positive value at t=-2"),
-    ("sqrt(t)", "sqrt of negative value at t=-2"),
-    ("1/(t+2)", "division by zero at t=-2"),
-    ("t^0.5", "negative base with non-integer exponent at t=-2"),
-])
-def test_scalar_domain_error_names_the_parameter(text, message):
-    with pytest.raises(DomainError, match=message):
-        evaluate(parse(text), -2.0)
 
 
 def test_cusp_curve_stack_is_exact_at_zero():
