@@ -46,12 +46,30 @@ def _match(f, g):
     return f, g
 
 
+def _degree(f) -> int:
+    """Index of the last row of the jet f with a nonzero value, 0 if none.
+
+    The rows past it are zero, as for a polynomial of that degree (an
+    affine argument such as 5*t has degree 1), so the recurrences sum only
+    the terms within it.  The terms they skip are exact zeros, so their
+    sums are unchanged.
+    """
+    live = np.flatnonzero(f.reshape(len(f), -1).any(axis=1))
+    return int(live[-1]) if len(live) else 0
+
+
 def jet_mul(f, g):
     f, g = _match(f, g)
-    out = np.empty(np.broadcast_shapes(f.shape, g.shape))
-    for m in range(len(f)):
-        acc = _C[m, 0] * f[0] * g[m]
-        for j in range(1, m + 1):
+    return _product(f, g, _degree(f), _degree(g))
+
+
+def _product(f, g, df, dg):
+    """Leibniz product of two jets of one length, of degrees df and dg."""
+    out = np.zeros(np.broadcast_shapes(f.shape, g.shape))
+    for m in range(min(len(f), df + dg + 1)):
+        lo, hi = max(0, m - dg), min(m, df)
+        acc = _C[m, lo] * f[lo] * g[m - lo]
+        for j in range(lo + 1, hi + 1):
             acc = acc + _C[m, j] * f[j] * g[m - j]
         out[m] = acc
     return out
@@ -94,10 +112,11 @@ def jet_sin_cos(u):
     c = np.empty_like(u)
     s[0] = np.sin(u[0])
     c[0] = np.cos(u[0])
+    du = _degree(u)
     for m in range(_orders(len(u)) - 1):
         acc_s = 0.0
         acc_c = 0.0
-        for j in range(m + 1):
+        for j in range(max(0, m + 1 - du), m + 1):
             acc_s = acc_s + _C[m, j] * c[j] * u[m + 1 - j]
             acc_c = acc_c + _C[m, j] * s[j] * u[m + 1 - j]
         s[m + 1] = acc_s
@@ -110,9 +129,10 @@ def jet_exp(f):
     f = np.asarray(f)
     out = np.empty_like(f)
     out[0] = np.exp(f[0])
+    df = _degree(f)
     for m in range(_orders(len(f)) - 1):
         acc = _C[m, 0] * f[1] * out[m]
-        for j in range(1, m + 1):
+        for j in range(1, min(m, df - 1) + 1):
             acc = acc + _C[m, j] * f[j + 1] * out[m - j]
         out[m + 1] = acc
     return out
@@ -137,15 +157,23 @@ def jet_pow(f, p: float):
     np.power(f[0], p) in every case.
     """
     f = np.asarray(f)
-    _orders(len(f))
+    top = _orders(len(f)) - 1
     if p >= 0.0 and float(p).is_integer():
-        out, base, n = None, f, int(p)
+        # repeated squaring; a product's degree is at most the sum of its
+        # factors' degrees
+        out, d_out = None, 0
+        base, d_base, n = f, _degree(f), int(p)
         while n:
             if n & 1:
-                out = base if out is None else jet_mul(out, base)
+                if out is None:
+                    out, d_out = base, d_base
+                else:
+                    out = _product(out, base, d_out, d_base)
+                    d_out = min(d_out + d_base, top)
             n >>= 1
             if n:
-                base = jet_mul(base, base)
+                base = _product(base, base, d_base, d_base)
+                d_base = min(2 * d_base, top)
         out = np.zeros_like(f) if out is None else out.copy()
         out[0] = np.power(f[0], p)
         return out
@@ -153,9 +181,10 @@ def jet_pow(f, p: float):
     out[0] = np.power(f[0], p)
     zero = f[0] == 0.0
     base = np.where(zero, 1.0, f[0])
+    df = _degree(f)
     for m in range(len(f) - 1):
         acc = p * f[1] * out[m]
-        for j in range(1, m + 1):
+        for j in range(1, min(m, df) + 1):
             acc = acc + _C[m, j] * (p * f[j + 1] * out[m - j]
                                     - f[j] * out[m + 1 - j])
         out[m + 1] = np.where(zero, 0.0 if m + 1 < p else np.nan, acc / base)
