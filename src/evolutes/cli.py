@@ -118,14 +118,23 @@ def _finite_rows(ts, pts):
     return ts[good], pts[good]
 
 
+def _require_finite(ts, pts, what: str):
+    """Refuse to write positions (one row, or one row of a mesh, per t)
+    that are not all finite, naming the first offending t."""
+    bad = ~np.isfinite(pts).reshape(len(ts), -1).all(axis=-1)
+    if bad.any():
+        raise GeometryError(f"{what} is not finite", t=float(ts[bad.argmax()]))
+
+
 # ------------------------------------------------------------- subcommands
 
 def _cmd_frenet(cfg: RunConfig, curve: Curve) -> int:
     grids = branch_grids(curve.domain, curve.cusps, cfg.samples)
     ts = np.concatenate(grids)
     fe = FrenetEval(curve, ts, order=4)
+    pts = fe.x[0]
+    _require_finite(ts, pts, "curve point")
     with np.errstate(all="ignore"):
-        pts = fe.x[0]
         extras = [("k", fe.k[0]), ("tau", fe.tau[0])]
         sigma = fe.sigma[0]
         if np.isfinite(sigma).all():
@@ -170,6 +179,7 @@ def _cmd_developable(cfg: RunConfig, curve: Curve) -> int:
     _choose_format(cfg, "obj", ("obj",))
     patch = developable_patch(curve, cfg.kind, np.concatenate(grids),
                               extent=cfg.extent)
+    _require_finite(patch.ts, patch.vertices, "patch vertex")
     return _write(cfg, render_obj(patch))
 
 

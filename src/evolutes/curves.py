@@ -14,7 +14,6 @@ the frame equations at unit speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,17 +64,17 @@ class Curve:
         return np.linspace(a, b, samples)
 
 
-def branch_grids(domain, cuts, samples: int, margin=None):
+def branch_grids(domain, cuts, samples: int):
     """Sample grids for each branch of (a, b) cut at singular parameters.
 
-    Every interval between consecutive cuts is shrunk by margin on any side
-    that touches a cut (including the domain ends, should a cut land there)
-    and sampled proportionally to its share of the domain, at least two
-    points per branch.  Downstream writers then never bridge a singularity.
+    Every interval between consecutive cuts is shrunk by a margin of 1e-3
+    of the domain's width on any side that touches a cut (including the
+    domain ends, should a cut land there) and sampled proportionally to its
+    share of the domain, at least two points per branch.  Downstream
+    writers then never bridge a singularity.
     """
     a, b = float(domain[0]), float(domain[1])
-    if margin is None:
-        margin = (b - a) * 1e-3
+    margin = (b - a) * 1e-3
     cuts = sorted({float(c) for c in cuts if a <= c <= b})
     edges = [a] + [c for c in cuts if a < c < b] + [b]
     singular = set(cuts)
@@ -212,22 +211,9 @@ class FrenetODECurve(IntegratedCurve):
                 f"tau={ex.to_source(self.tau_expr)!r}, domain={self.domain})")
 
 
-@dataclass
-class ArclengthMap:
+class ArclengthMap(CumulativeIntegral):
     """Cumulative arc length s(t) with a monotone inverse t(s)."""
 
-    curve: Curve
-
-    def __post_init__(self):
-        a, b = self.curve.domain
-        self._cumulative = CumulativeIntegral(self.curve.speed, a, b)
-
-    @property
-    def total(self) -> float:
-        return self._cumulative.total
-
-    def __call__(self, t):
-        return self._cumulative(t)
-
-    def inverse(self, s):
-        return self._cumulative.inverse(s)
+    def __init__(self, curve: Curve):
+        a, b = curve.domain
+        super().__init__(curve.speed, a, b)

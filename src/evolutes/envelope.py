@@ -103,7 +103,7 @@ def edge_points(family: PlaneFamily, ts) -> np.ndarray:
     return out
 
 
-def edge_cusps(family: PlaneFamily, samples: int = 2048) -> np.ndarray:
+def edge_cusps(family: PlaneFamily) -> np.ndarray:
     """Parameters where the edge has a cusp: the third derivative of the
     plane equation also vanishes on the edge point."""
     def gap(ts):
@@ -112,7 +112,7 @@ def edge_cusps(family: PlaneFamily, samples: int = 2048) -> np.ndarray:
         return np.sum(n[3] * P, axis=-1) - c[3]
 
     a, b = family.curve.domain
-    return find_roots(gap, a, b, samples, closed=family.curve.closed)
+    return find_roots(gap, a, b, closed=family.curve.closed)
 
 
 def ruling_directions(family: PlaneFamily, ts) -> np.ndarray:

@@ -75,20 +75,20 @@ class EvoluteCurve(Curve):
         return f"EvoluteCurve({self.base!r})"
 
 
-def evolute_cusps(curve: Curve, samples: int = 2048) -> np.ndarray:
+def evolute_cusps(curve: Curve) -> np.ndarray:
     """Parameters where sigma vanishes (cusps of the evolute)."""
     def sigma_fn(ts):
         return FrenetEval(curve, ts, order=4).sigma[0]
     a, b = curve.domain
-    return find_roots(sigma_fn, a, b, samples, closed=curve.closed)
+    return find_roots(sigma_fn, a, b, closed=curve.closed)
 
 
-def evolute_escapes(curve: Curve, samples: int = 2048) -> np.ndarray:
+def evolute_escapes(curve: Curve) -> np.ndarray:
     """Parameters where the torsion vanishes and the evolute diverges."""
     def tau_fn(ts):
         return FrenetEval(curve, ts, order=3).tau[0]
     a, b = curve.domain
-    return find_roots(tau_fn, a, b, samples, closed=curve.closed)
+    return find_roots(tau_fn, a, b, closed=curve.closed)
 
 
 def osculating_sphere(curve: Curve, t: float):

@@ -248,18 +248,18 @@ class CongruenceReport:
     length_difference: float
 
 
-def is_congruent(c1: Curve, c2: Curve, samples: int = 512,
-                 tol: float = 1e-4, length_rtol: float = 1e-3) -> CongruenceReport:
+def is_congruent(c1: Curve, c2: Curve) -> CongruenceReport:
     """Compare curvature/torsion profiles over arc length from each start.
 
-    Curves of equal length are congruent iff the profiles agree; a sign flip
-    of torsion alone marks a mirror image.  Raises LengthMismatch when the
-    arc lengths differ too much for the comparison to mean anything.
+    Curves of equal length are congruent iff the profiles agree (within
+    1e-4 at 512 arc lengths); a sign flip of torsion alone marks a mirror
+    image.  Raises LengthMismatch when the arc lengths differ by more than
+    1e-3 of the longer, too much for the comparison to mean anything.
     """
     L1, L2 = arclength(c1), arclength(c2)
-    if abs(L1 - L2) > length_rtol * max(L1, L2):
+    if abs(L1 - L2) > 1e-3 * max(L1, L2):
         raise LengthMismatch(f"arc lengths differ: {L1:.9g} vs {L2:.9g}")
-    s = np.linspace(0.0, min(L1, L2), samples)
+    s = np.linspace(0.0, min(L1, L2), 512)
     profiles = []
     for curve in (c1, c2):
         t = ArclengthMap(curve).inverse(s)
@@ -271,5 +271,5 @@ def is_congruent(c1: Curve, c2: Curve, samples: int = 512,
     mirrored = max(dk, float(np.max(np.abs(tau1 + tau2))))
     mirror = mirrored < direct
     deviation = min(direct, mirrored)
-    return CongruenceReport(deviation <= tol, mirror, deviation,
+    return CongruenceReport(deviation <= 1e-4, mirror, deviation,
                             abs(L1 - L2))

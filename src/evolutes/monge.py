@@ -98,26 +98,24 @@ def _k_cos_alpha_rate(evolute: MongeEvoluteCurve, ts) -> np.ndarray:
         return arclength_derivative(jet_mul(fe.k, cos_j), fe.v)[0]
 
 
-def monge_evolute_cusps(evolute: MongeEvoluteCurve,
-                        samples: int = 2048) -> np.ndarray:
+def monge_evolute_cusps(evolute: MongeEvoluteCurve) -> np.ndarray:
     """Cusp parameters: critical points of k cos(alpha)."""
     a, b = evolute.base.domain
     return find_roots(lambda ts: _k_cos_alpha_rate(evolute, ts),
-                      a, b, samples, closed=evolute.base.closed)
+                      a, b, closed=evolute.base.closed)
 
 
-def monge_escapes(evolute: MongeEvoluteCurve,
-                  samples: int = 2048) -> np.ndarray:
+def monge_escapes(evolute: MongeEvoluteCurve) -> np.ndarray:
     """Parameters where cos(alpha) vanishes and the evolute diverges."""
     a, b = evolute.base.domain
     return find_roots(lambda ts: np.cos(evolute.alpha(np.atleast_1d(ts))),
-                      a, b, samples, closed=evolute.base.closed)
+                      a, b, closed=evolute.base.closed)
 
 
-def monge_evolutes_closed(curve: Curve, tol: float = 1e-9) -> bool:
+def monge_evolutes_closed(curve: Curve) -> bool:
     """Monge evolutes of a closed curve close up iff the total torsion is an
     integer multiple of pi."""
-    return abs(math.remainder(total_torsion(curve), math.pi)) <= tol
+    return abs(math.remainder(total_torsion(curve), math.pi)) <= 1e-9
 
 
 class MongeInvoluteCurve(Curve):
@@ -134,33 +132,13 @@ class MongeInvoluteCurve(Curve):
         self.length = float(length)
         self.signed = bool(signed)
         self._smap = ArclengthMap(base)
-        cusps = np.asarray(base.cusps, dtype=float)
-        self._cusp_params = np.sort(cusps)
-        if signed and len(self._cusp_params):
-            s_at = np.array([self._smap(c) for c in self._cusp_params])
-            anchors = [0.0]
-            total = 0.0
-            prev_s = 0.0
-            for i, sc in enumerate(s_at):
-                total += (sc - prev_s) * (1.0 if i % 2 == 0 else -1.0)
-                anchors.append(total)
-                prev_s = sc
-            self._cusp_s = s_at
-            self._arc_anchor = np.asarray(anchors)
-
-    def _signed_s_and_sign(self, t: np.ndarray):
-        s = np.atleast_1d(self._smap(t))
-        if not (self.signed and len(self._cusp_params)):
-            return s, np.ones_like(s)
-        arc = np.searchsorted(self._cusp_params, t, side="right")
-        sign = np.where(arc % 2 == 0, 1.0, -1.0)
-        base_s = np.concatenate([[0.0], self._cusp_s])[arc]
-        return self._arc_anchor[arc] + sign * (s - base_s), sign
+        self._cusps = np.sort(np.asarray(base.cusps if signed else (),
+                                         dtype=float))
 
     def derivatives(self, t, order: int) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         fe = FrenetEval(self.base, t, order=order + 2)
-        s, sign = self._signed_s_and_sign(t)
+        s, sign = _signed_arclength(self._smap, self._cusps, t)
         # string offset sign(l - s) T stays continuous through base cusps:
         # the tangent and the length element flip together
         ls = np.empty((order + 2,) + fe.v.shape[1:])
@@ -175,16 +153,22 @@ class MongeInvoluteCurve(Curve):
                 + (", signed=True)" if self.signed else ")"))
 
 
+def _signed_arclength(smap: ArclengthMap, cusps, t):
+    """Arc length from the start to t with the sign flipping at every cusp
+    (sorted), and the sign of the length element at t."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    marks = np.concatenate([[0.0], smap(cusps)])    # s at the start, cusps
+    flips = (-1.0) ** np.arange(len(marks))         # sign after each mark
+    anchors = np.concatenate([[0.0], np.cumsum(np.diff(marks) * flips[:-1])])
+    arc = np.searchsorted(cusps, t, side="right")
+    return anchors[arc] + flips[arc] * (smap(t) - marks[arc]), flips[arc]
+
+
 def signed_length(curve: Curve) -> float:
     """Arc length with the sign flipping at every declared cusp."""
-    smap = ArclengthMap(curve)
     cusps = np.sort(np.asarray(curve.cusps, dtype=float))
-    marks = np.concatenate([[0.0],
-                            np.atleast_1d(smap(cusps)) if len(cusps) else [],
-                            [smap.total]])
-    spans = np.diff(marks)
-    signs = (-1.0) ** np.arange(len(spans))
-    return float(np.sum(spans * signs))
+    s, _ = _signed_arclength(ArclengthMap(curve), cusps, curve.domain[1])
+    return float(s[0])
 
 
 def _monge_offsets(evolute: MongeEvoluteCurve, ts, order: int):
@@ -241,8 +225,7 @@ def offset_angles(e1: MongeEvoluteCurve, e2: MongeEvoluteCurve,
     return np.arccos(np.clip(np.abs(np.sum(u1 * u2, axis=-1)), 0.0, 1.0))
 
 
-def envelope_meetings(evolute: MongeEvoluteCurve,
-                      samples: int = 2048) -> np.ndarray:
+def envelope_meetings(evolute: MongeEvoluteCurve) -> np.ndarray:
     """Parameters where the Monge evolute touches the evolute of the base:
     zeros of dr/ds + r tau tan(alpha)."""
     base = evolute.base
@@ -255,4 +238,4 @@ def envelope_meetings(evolute: MongeEvoluteCurve,
             return fe.r_s[0] + fe.r[0] * fe.tau[0] * np.tan(alpha)
 
     a, b = base.domain
-    return find_roots(gap, a, b, samples, closed=base.closed)
+    return find_roots(gap, a, b, closed=base.closed)

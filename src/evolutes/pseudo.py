@@ -61,8 +61,11 @@ def _escape_threshold(fe: FrenetEval):
     return 2e-12 * fe.u[0] * fe.q[0] * np.abs(fe.p[0])
 
 
-def pseudo_evolute_point(curve: Curve, t: float,
-                         limit_order: int = 10) -> np.ndarray:
+# highest order of the numerator and denominator jets a 0/0 limit reads
+_LIMIT_ORDER = 10
+
+
+def pseudo_evolute_point(curve: Curve, t: float) -> np.ndarray:
     """Pseudo-evolute point at t, taking the limit at removable 0/0 points.
 
     Raises InfinityEscape where the rectifying developable has no edge
@@ -73,7 +76,7 @@ def pseudo_evolute_point(curve: Curve, t: float,
     W, E = _numerator_denominator(fe)
     if abs(E[0, 0]) > _escape_threshold(fe)[0]:
         return (fe.x[0, 0] + W[0, 0] / E[0, 0]).copy()
-    fe = FrenetEval(curve, t, order=limit_order + 4)
+    fe = FrenetEval(curve, t, order=_LIMIT_ORDER + 4)
     W, E = _numerator_denominator(fe)
     e_col, w_col = E[:, 0], W[:, 0]
     scale_e = np.max(np.abs(e_col))
@@ -128,28 +131,28 @@ def _ratio_s_derivative(curve: Curve, ts, depth: int) -> np.ndarray:
         return jet[0]
 
 
-def pseudo_escapes(curve: Curve, samples: int = 2048) -> np.ndarray:
+def pseudo_escapes(curve: Curve) -> np.ndarray:
     """Zeros of (tau/k)': parameters where the pseudo-evolute diverges."""
     a, b = curve.domain
     return find_roots(lambda ts: _ratio_s_derivative(curve, ts, 1),
-                      a, b, samples, closed=curve.closed)
+                      a, b, closed=curve.closed)
 
 
-def pseudo_cusps(curve: Curve, samples: int = 2048) -> np.ndarray:
+def pseudo_cusps(curve: Curve) -> np.ndarray:
     """Zeros of (tau/k)'': cusp parameters of the pseudo-evolute."""
     a, b = curve.domain
     return find_roots(lambda ts: _ratio_s_derivative(curve, ts, 2),
-                      a, b, samples, closed=curve.closed)
+                      a, b, closed=curve.closed)
 
 
-def is_cylindrical(curve: Curve, samples: int = 512,
-                   rtol: float = CONSTANT_SPREAD) -> bool:
-    """True when tau/k is constant, so the rectifying developable is a
-    cylinder and the pseudo-evolute is everywhere at infinity."""
-    ts = curve.grid(samples + 1)[:-1] if curve.closed else curve.grid(samples)
+def is_cylindrical(curve: Curve) -> bool:
+    """True when tau/k is constant on 512 samples, so the rectifying
+    developable is a cylinder and the pseudo-evolute is everywhere at
+    infinity."""
+    ts = curve.grid(513)[:-1] if curve.closed else curve.grid(512)
     fe = FrenetEval(curve, ts, order=3)
     with np.errstate(all="ignore"):
-        return is_constant(fe.tau[0] / fe.k[0], rtol)
+        return is_constant(fe.tau[0] / fe.k[0], CONSTANT_SPREAD)
 
 
 def is_constant(values, rtol: float) -> bool:
@@ -216,8 +219,8 @@ class PseudoInvoluteCurve(Curve):
                 f"direction={self.line_direction.tolist()})")
 
 
-def pseudo_involute(base: Curve, line_point, line_direction,
-                    samples: int = 512) -> PseudoInvoluteCurve:
+def pseudo_involute(base: Curve, line_point,
+                    line_direction) -> PseudoInvoluteCurve:
     """Pseudo-involute of the base curve cut out by a development line.
 
     Warns when the line passes through the developed base curve: the
@@ -228,7 +231,7 @@ def pseudo_involute(base: Curve, line_point, line_direction,
     from .errors import LineThroughEdge
 
     curve = PseudoInvoluteCurve(base, line_point, line_direction)
-    ts = curve.grid(samples)
+    ts = curve.grid(512)
     dev_pts = curve.development.point(ts)
     d = curve.line_direction
     offsets = ((curve.line_point - dev_pts)[:, 0] * d[1]

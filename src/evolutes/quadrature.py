@@ -1,10 +1,18 @@
-"""Deterministic Gauss-Kronrod quadrature.
+"""Deterministic Gauss-Kronrod quadrature and cumulative integrals.
 
-Everything here is vectorized over panels so that cumulative maps (arc
-length, torsion angle, development angle) can be queried at thousands of
-parameters at once.  The 15-point Kronrod rule with its embedded 7-point
-Gauss rule supplies the error estimate; adaptive refinement bisects the
-offending panels only.
+Everything here is vectorized over panels.  The 15-point Kronrod rule with
+its embedded 7-point Gauss rule supplies the error estimate; adaptive
+refinement bisects the offending panels only.
+
+A cumulative integral (arc length, torsion angle, development angle) is the
+table of panels that refinement accepted.  On each panel it keeps the
+degree-14 polynomial through the 15 Kronrod node values, as a Legendre
+series, and the antiderivative of that series: the cumulative sum of
+Chebfun (Driscoll, Hale & Trefethen, *Chebfun Guide*, 2014).  Kronrod's
+rule is interpolatory on its nodes, so a whole panel integrates to its
+Kronrod value.  Values and inverses at any number of parameters come from
+these polynomials; the integrand is called while the table is built and
+never after.
 """
 
 from __future__ import annotations
@@ -38,10 +46,43 @@ _WG = np.array([
     0.3818300505051189, 0.2797053914892767, 0.1294849661688697,
 ])
 
+_RTOL = 1e-11            # relative error budget of every integral
+_ATOL = 1e-13            # absolute error budget of every integral
+_PANELS = 64             # first panels of a cumulative table
 _MAX_ROUNDS = 48
 # Cap on the panels still being refined: an integrand that never meets its
 # budget (a NaN, a pole) doubles them every round until memory runs out.
 _MAX_LIVE_PANELS = 4096
+_NEWTON_STEPS = 60       # cap on the iterations of an inverse
+
+
+def _series(coef, i, x):
+    """The Legendre series of row i of coef at x (i and x broadcast), by
+    Clenshaw's recurrence; only elementwise operations, so equal inputs
+    round alike."""
+    b1 = b2 = 0.0
+    for k in range(coef.shape[1] - 1, -1, -1):
+        b1, b2 = (coef[i, k] + (2 * k + 1) / (k + 1) * x * b1
+                  - (k + 1) / (k + 2) * b2), b1
+    return b1
+
+
+def _antiderivative_map(degree: int) -> np.ndarray:
+    """Legendre coefficients of a series to those of an antiderivative:
+    the integral of P_n is (P_(n+1) - P_(n-1)) / (2n + 1)."""
+    out = np.zeros((degree + 1, degree + 2))
+    for n in range(degree + 1):
+        out[n, n + 1] = 1.0 / (2 * n + 1)
+        if n:
+            out[n, n - 1] = -1.0 / (2 * n + 1)
+    return out
+
+
+# node values @ _TO_SERIES: Legendre coefficients of the interpolant.  The
+# series with the rows of eye(15) as coefficients are P_0 .. P_14.
+_TO_SERIES = np.linalg.inv(
+    _series(np.eye(len(_XK)), np.arange(len(_XK)), _XK[:, None])).T
+_INTEGRATE = _antiderivative_map(len(_XK) - 1)
 
 
 def _gk15(f, a, b):
@@ -58,27 +99,29 @@ def _gk15(f, a, b):
     return kron, np.abs(kron - gauss), y
 
 
-def _refine(f, edges, rtol: float, atol: float, failure: str):
+def _refine(f, edges, failure: str):
     """Bisect the panels between edges until each meets its share of the
-    error budget; the accepted left ends and values, round by round.  A
-    round in which no integrand value is finite ends the refinement."""
+    error budget; the accepted left ends, values and node values, round by
+    round.  A round in which no integrand value is finite ends the
+    refinement."""
     lo, hi = edges[:-1], edges[1:]
     width = abs(edges[-1] - edges[0])
-    keep_lo, keep_val = [], []
+    keep_lo, keep_val, keep_nodes = [], [], []
     for _ in range(_MAX_ROUNDS):
         vals, errs, nodes = _gk15(f, lo, hi)
         if not np.isfinite(nodes).any():
             raise IntegrationFailure(
                 f"{failure} on [{edges[0]:.6g}, {edges[-1]:.6g}]:"
                 " no finite integrand value")
-        scale = max(abs(sum(v.sum() for v in keep_val) + vals.sum()), atol)
-        budget = (np.abs(hi - lo) / width) * max(atol, rtol * scale)
+        scale = max(abs(sum(v.sum() for v in keep_val) + vals.sum()), _ATOL)
+        budget = (np.abs(hi - lo) / width) * max(_ATOL, _RTOL * scale)
         ok = errs <= budget
         keep_lo.append(lo[ok])
         keep_val.append(vals[ok])
+        keep_nodes.append(nodes[ok])
         lo, hi = lo[~ok], hi[~ok]
         if lo.size == 0:
-            return keep_lo, keep_val
+            return keep_lo, keep_val, keep_nodes
         if 2 * lo.size > _MAX_LIVE_PANELS:
             break
         mid = 0.5 * (lo + hi)
@@ -88,65 +131,90 @@ def _refine(f, edges, rtol: float, atol: float, failure: str):
         f"{failure} on [{edges[0]:.6g}, {edges[-1]:.6g}]")
 
 
-def adaptive_integral(f, a: float, b: float, rtol: float = 1e-11,
-                      atol: float = 1e-13) -> float:
+def adaptive_integral(f, a: float, b: float) -> float:
     """Integrate f over [a, b]; f maps an ndarray of parameters to values."""
     if a == b:
         return 0.0
-    _, vals = _refine(f, np.array([a, b], dtype=float), rtol, atol,
-                      "quadrature failed to converge")
+    _, vals, _ = _refine(f, np.array([a, b], dtype=float),
+                         "quadrature failed to converge")
     return float(sum(v.sum() for v in vals))
 
 
 class CumulativeIntegral:
     """Cumulative map F(t) = c0 + integral of f from a to t, queryable on arrays.
 
-    Panels are refined until each meets the error budget, then a prefix-sum
-    table makes F(t) a table lookup plus one Kronrod pass over the partial
-    panel.  ``inverse`` assumes f > 0 (monotone F) and polishes a monotone
-    interpolant with Newton steps.
+    The panels between ``edges`` are refined until each meets the error
+    budget; ``table`` holds F at the edges.  Inside panel i, with
+    x = (t - edges[i]) / h_i - 1 and h_i its half-width,
+
+        F(t) = table[i] + h_i (G_i(x) - G_i(-1)),
+
+    where G_i is the antiderivative of the polynomial through the panel's
+    Kronrod node values.  F reads table[i] exactly at every edge.
+    ``inverse`` assumes f >= 0 (nondecreasing F) and runs Newton's method
+    on the same polynomials.  Neither calls f.
     """
 
-    def __init__(self, f, a: float, b: float, c0: float = 0.0,
-                 rtol: float = 1e-11, atol: float = 1e-13, panels: int = 64):
+    def __init__(self, f, a: float, b: float, c0: float = 0.0):
         if not b > a:
             raise ValueError("need b > a")
-        self.f = f
-        self.a = float(a)
-        self.b = float(b)
-        self.c0 = float(c0)
-        keep_lo, keep_val = _refine(f, np.linspace(a, b, panels + 1), rtol,
-                                    atol, "cumulative quadrature failed")
+        keep_lo, keep_val, keep_nodes = _refine(
+            f, np.linspace(a, b, _PANELS + 1), "cumulative quadrature failed")
         lo = np.concatenate(keep_lo)
         order = np.argsort(lo)
-        self.edges = np.append(lo[order], b)
+        self.edges = np.append(lo[order], float(b))
         vals = np.concatenate(keep_val)[order]
-        self.table = np.concatenate([[0.0], np.cumsum(vals)]) + self.c0
+        self.table = np.concatenate([[0.0], np.cumsum(vals)]) + float(c0)
+        self._half = 0.5 * np.diff(self.edges)
+        self._interpolant = np.concatenate(keep_nodes)[order] @ _TO_SERIES
+        self._antiderivative = self._interpolant @ _INTEGRATE
+        self._start = _series(self._antiderivative, np.arange(len(vals)),
+                              -1.0)
 
     @property
     def total(self) -> float:
         return float(self.table[-1])
 
+    def _rise(self, i, x):
+        """F minus table[i] at x of panel i."""
+        return self._half[i] * (_series(self._antiderivative, i, x)
+                                - self._start[i])
+
     def __call__(self, t):
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         i = np.clip(np.searchsorted(self.edges, t, side="right") - 1,
-                    0, len(self.edges) - 2)
-        start = self.edges[i]
-        partial = _gk15(self.f, start, t)[0]
-        out = self.table[i] + partial
+                    0, len(self._half) - 1)
+        out = self.table[i] + self._rise(i, (t - self.edges[i])
+                                         / self._half[i] - 1.0)
+        out[t == self.edges[-1]] = self.table[-1]    # b closes the table too
         return float(out[0]) if scalar else out
 
     def inverse(self, s):
-        """Parameters t with F(t) = s, for monotone F (f > 0)."""
-        from scipy.interpolate import PchipInterpolator
-
+        """Parameters t with F(t) = s, for nondecreasing F (f >= 0); s is
+        clipped to [F(a), F(b)]."""
         scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        guess = PchipInterpolator(self.table, self.edges)(s)
-        t = np.clip(guess, self.a, self.b)
-        for _ in range(3):
-            slope = np.asarray(self.f(t), dtype=float)
-            step = np.where(slope > 0.0, (self(t) - s) / np.where(slope > 0.0, slope, 1.0), 0.0)
-            t = np.clip(t - step, self.a, self.b)
+        s = np.clip(np.atleast_1d(np.asarray(s, dtype=float)),
+                    self.table[0], self.table[-1])
+        i = np.clip(np.searchsorted(self.table, s, side="right") - 1,
+                    0, len(self._half) - 1)
+        want = s - self.table[i]
+        lo, hi = -np.ones_like(s), np.ones_like(s)
+        with np.errstate(all="ignore"):
+            # linear interpolation in (table, edges), then Newton steps;
+            # an iterate that leaves the bracket [lo, hi] bisects it
+            x = 2.0 * want / (self.table[i + 1] - self.table[i]) - 1.0
+            for _ in range(_NEWTON_STEPS):
+                gap = self._rise(i, x) - want
+                lo = np.where(gap <= 0.0, x, lo)
+                hi = np.where(gap >= 0.0, x, hi)
+                slope = self._half[i] * _series(self._interpolant, i, x)
+                step = x - gap / slope
+                step = np.where((step >= lo) & (step <= hi), step,
+                                0.5 * (lo + hi))
+                done = np.all(np.abs(step - x) <= 1e-14)    # in x
+                x = step
+                if done:
+                    break
+        t = self.edges[i] + self._half[i] * (x + 1.0)
         return float(t[0]) if scalar else t

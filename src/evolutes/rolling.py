@@ -118,10 +118,11 @@ class PlanarIsometry:
     def apply(self, pts):
         return np.asarray(pts, dtype=float) @ self.rotation.T + self.shift
 
-    def fixed_point(self, eps: float = 1e-10) -> np.ndarray:
-        """The unique fixed point of a genuine rotation."""
-        if abs(self.angle_mod_2pi) <= eps:
-            if np.linalg.norm(self.shift) <= eps:
+    def fixed_point(self) -> np.ndarray:
+        """The unique fixed point of a genuine rotation; a rotation angle
+        or shift at most 1e-10 in size counts as none."""
+        if abs(self.angle_mod_2pi) <= 1e-10:
+            if np.linalg.norm(self.shift) <= 1e-10:
                 raise IdentityMonodromy("every point is fixed")
             raise PureTranslation("no fixed point: monodromy is a translation")
         eye = np.eye(2)

@@ -73,6 +73,8 @@ def test_usage_errors_exit_2(argv, capsys):
     (["pseudo-evolute", "--expr", "t,2*t,3*t"], "EPS_K"),
     (["monge-evolute", "--expr", "t,2*t,3*t"], "EPS_K"),
     (["monge-evolute", "--expr", "cos(t),sin(t),0"], "k cos(alpha) is constant"),
+    # exp(t)^1000 overflows past t = 0.709
+    (["frenet", "--expr", "exp(t)^1000,t,t^2"], "curve point is not finite at t≈0.7"),
 ])
 def test_degenerate_curves_exit_3(argv, check, tmp_path, capsys):
     out = tmp_path / "deg.csv"
@@ -162,6 +164,14 @@ def test_developable_obj(tmp_path):
     text = out.read_text()
     assert text.count("\nv ") + text.startswith("v ") > 0
     assert "f " in text
+
+
+def test_developable_refuses_a_non_finite_vertex(tmp_path, capsys):
+    out = tmp_path / "d.obj"
+    assert entry(["developable", "--expr", "exp(t)^1000,t,t^2", "--range",
+                  "0:1", "--out", str(out)]) == 3
+    assert "patch vertex is not finite at t≈0.7" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_develop_and_involute(tmp_path, capsys):

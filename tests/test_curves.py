@@ -84,6 +84,10 @@ def test_arclength_map_roundtrip(helix):
     assert abs(amap.total - 2.0 * math.pi * math.sqrt(2.0)) < 1e-10
     ts = np.linspace(*helix.domain, 17)
     np.testing.assert_allclose(amap.inverse(amap(ts)), ts, atol=1e-9)
+    # the speed of t^2, t^3, t^4 vanishes at t = 0, where s(t) goes as t^2
+    amap = ArclengthMap(preset("cusp-curve"))
+    ts = np.concatenate([np.linspace(-1.0, 1.0, 41), [-1e-3, 1e-3, 1e-2]])
+    np.testing.assert_allclose(amap.inverse(amap(ts)), ts, atol=1e-8)
 
 
 def test_branch_grids_shrink_only_at_cuts():

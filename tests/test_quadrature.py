@@ -44,12 +44,40 @@ def test_cumulative_offset_constant():
 
 
 def test_cumulative_inverse_roundtrip():
-    # strictly increasing integrand keeps the map invertible
-    table = CumulativeIntegral(lambda t: 1.0 + 0.5 * np.sin(t), 0.0, 6.0)
+    # strictly increasing integrands keep the map invertible; the slope of
+    # the second comes down to 0.01
     ts = np.linspace(0.0, 6.0, 25)
-    vals = table(ts)
-    back = table.inverse(vals)
-    np.testing.assert_allclose(back, ts, atol=1e-10)
+    for f in (lambda t: 1.0 + 0.5 * np.sin(t),
+              lambda t: 1.0 + 0.99 * np.sin(5.0 * t)):
+        table = CumulativeIntegral(f, 0.0, 6.0)
+        np.testing.assert_allclose(table.inverse(table(ts)), ts, atol=1e-10)
+
+
+def test_cumulative_table_never_calls_its_integrand():
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return 1.0 + 0.5 * np.sin(t)
+
+    table = CumulativeIntegral(counted, 0.0, 6.0)
+    built = len(calls)
+    ts = np.linspace(-0.5, 6.5, 301)
+    table(ts)
+    table(2.0)
+    table.inverse(table(ts))
+    table.inverse(3.0)
+    assert len(calls) == built
+
+
+def test_cumulative_table_is_exact_at_its_edges():
+    # a peak at 2.9 makes refinement bisect some of the first 64 panels
+    table = CumulativeIntegral(lambda t: 1.0 / (0.01 + (t - 2.9) ** 2),
+                               0.0, 6.0)
+    assert len(table.edges) > 65
+    assert np.array_equal(table(table.edges), table.table)
+    assert table(6.0) == table.total
+    assert CumulativeIntegral(np.cos, 0.0, 2.0, c0=0.6)(0.0) == 0.6
 
 
 def test_nan_integrand_stops_at_the_panel_cap():
