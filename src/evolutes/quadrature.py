@@ -87,13 +87,13 @@ _INTEGRATE = _antiderivative_map(len(_XK) - 1)
 
 def _gk15(f, a, b):
     """Kronrod estimate and error for panels [a_i, b_i], and the integrand
-    values at the nodes (one row per panel); a, b are arrays."""
+    values at the nodes, in f's dtype (one row per panel); a, b are arrays."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _XK
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    y = np.asarray(f(x.ravel())).reshape(x.shape)
     kron = (y @ _WK) * half
     gauss = (y[:, 1::2] @ _WG) * half
     return kron, np.abs(kron - gauss), y
@@ -150,9 +150,9 @@ class CumulativeIntegral:
         F(t) = table[i] + h_i (G_i(x) - G_i(-1)),
 
     where G_i is the antiderivative of the polynomial through the panel's
-    Kronrod node values.  F reads table[i] exactly at every edge.
-    ``inverse`` assumes f >= 0 (nondecreasing F) and runs Newton's method
-    on the same polynomials.  Neither calls f.
+    Kronrod node values; F is complex for a complex f and reads table[i]
+    exactly at every edge.  ``inverse`` assumes a real f >= 0 (nondecreasing
+    F) and runs Newton's method on the same polynomials.  Neither calls f.
     """
 
     def __init__(self, f, a: float, b: float, c0: float = 0.0):
@@ -173,7 +173,7 @@ class CumulativeIntegral:
 
     @property
     def total(self) -> float:
-        return float(self.table[-1])
+        return self.table[-1].item()
 
     def _rise(self, i, x):
         """F minus table[i] at x of panel i."""
@@ -188,7 +188,7 @@ class CumulativeIntegral:
         out = self.table[i] + self._rise(i, (t - self.edges[i])
                                          / self._half[i] - 1.0)
         out[t == self.edges[-1]] = self.table[-1]    # b closes the table too
-        return float(out[0]) if scalar else out
+        return out[0].item() if scalar else out
 
     def inverse(self, s):
         """Parameters t with F(t) = s, for nondecreasing F (f >= 0); s is

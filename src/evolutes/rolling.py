@@ -48,9 +48,10 @@ class Development:
     """Planar development (unrolling) of a curve into its osculating plane.
 
     The developed curve starts at the origin heading along +x; its turning
-    angle is the cumulative integral of k ds and its position follows by a
-    second cumulative integration.  Plane coordinates correspond to the
-    frame (T, N) of the space curve at the starting parameter.
+    angle is the cumulative integral of k ds and its position, as the
+    complex number x + iy, the cumulative integral of exp(i theta) ds.
+    Plane coordinates correspond to the frame (T, N) of the space curve at
+    the starting parameter.
     """
 
     def __init__(self, curve: Curve):
@@ -62,24 +63,15 @@ class Development:
             return fe.k[0] * fe.v[0]
 
         self._theta = CumulativeIntegral(kv, a, b)
-
-        def vx(ts):
-            return np.cos(self._theta(ts)) * curve.speed(ts)
-
-        def vy(ts):
-            return np.sin(self._theta(ts)) * curve.speed(ts)
-
-        self._posx = CumulativeIntegral(vx, a, b)
-        self._posy = CumulativeIntegral(vy, a, b)
+        self._position = CumulativeIntegral(
+            lambda ts: np.exp(1j * self._theta(ts)) * curve.speed(ts), a, b)
 
     def angle(self, t):
         return self._theta(t)
 
     def point(self, t):
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(t)
-        out = np.stack([self._posx(t), self._posy(t)], axis=-1)
-        return out[0] if scalar else out
+        z = self._position(t)
+        return np.stack([np.real(z), np.imag(z)], axis=-1)
 
     def contact(self, t) -> ContactElement:
         return ContactElement(self.point(float(t)), float(self.angle(float(t))))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from evolutes import preset
 from evolutes.curves import ArclengthMap, ExprCurve
 from evolutes.errors import (IdentityMonodromy, NotClosed, PureTranslation)
 from evolutes.evolute import evolute_points
@@ -29,6 +30,22 @@ def test_development_preserves_length_and_curvature(knot):
     a = knot.domain[0]
     np.testing.assert_allclose(dev.point(a), 0.0, atol=1e-12)
     assert abs(dev.angle(a)) < 1e-12
+
+
+def test_development_is_two_tables(monkeypatch):
+    # the turning angle and the complex position x + iy, each a 64-panel
+    # table of 15 Kronrod nodes: 2 x 960 curve points for the torus knot
+    knot = preset("torus-knot")
+    derivatives = knot.derivatives
+    points = []
+
+    def counting(ts, order):
+        points.append(np.size(ts))
+        return derivatives(ts, order)
+
+    monkeypatch.setattr(knot, "derivatives", counting)
+    Development(knot)
+    assert sum(points) == 1920
 
 
 def test_helix_development_is_a_circle_arc(helix):
