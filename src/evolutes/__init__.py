@@ -8,8 +8,7 @@ monodromy of closed curves.
 
 from .catalog import CATALOG, CurveSpec, preset, preset_names
 from .classify import Verdict, classify
-from .curves import ArclengthMap, Curve, ExprCurve, FrenetODECurve, \
-    branch_grids
+from .curves import Curve, ExprCurve, FrenetODECurve, branch_grids
 from .envelope import (Line3, PlaneFamily, RuledPatch, developable_patch,
                        edge_cusps, edge_point, edge_points, polar_line,
                        ruling_directions)
@@ -24,10 +23,10 @@ from .evolute import (EvoluteCurve, conformal_torsion, evolute_curvature_torsion
                       osculating_circles_disjoint, osculating_sphere,
                       second_evolute_residual)
 from .expr import Expr, evaluate, parse, parse_curve, to_source
-from .frenet import (CongruenceReport, FrenetEval, FrenetState, arclength,
-                     frenet_at, indicatrix_geodesic_curvature, is_congruent,
-                     sigma_values, total_absolute_torsion, total_curvature,
-                     total_torsion)
+from .frenet import (ArclengthMap, CongruenceReport, FrenetEval, FrenetState,
+                     arclength, frenet_at, indicatrix_geodesic_curvature,
+                     is_congruent, sigma_values, total_absolute_torsion,
+                     total_curvature, total_torsion)
 from .monge import (MongeEvoluteCurve, MongeInvoluteCurve, envelope_meetings,
                     monge_escapes, monge_evolute_cusps, monge_evolute_point,
                     monge_evolutes_closed, offset_angles, signed_length,

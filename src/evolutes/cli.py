@@ -21,10 +21,10 @@ from .errors import DomainError, GeometryError, ParseError
 from .envelope import developable_patch
 from .exporters import atomic_write, render_csv, render_json, render_obj, \
     render_svg
-from .frenet import FrenetEval, frenet_at, total_curvature
+from .frenet import FrenetEval, frenet_at
 from .monge import MongeInvoluteCurve
-from .report import curve_report
-from .rolling import Development, closed_involute, monodromy, trace_involute
+from .report import curve_report, monodromy_block
+from .rolling import Development, closed_involute, trace_involute
 
 __all__ = ["RunConfig", "build_curve", "entry"]
 
@@ -195,18 +195,9 @@ def _cmd_develop(cfg: RunConfig, curve: Curve) -> int:
 
 
 def _cmd_monodromy(cfg: RunConfig, curve: Curve) -> int:
-    iso = monodromy(curve)
-    payload = {
-        "angle": iso.angle,
-        "angle_mod_2pi": iso.angle_mod_2pi,
-        "shift": [float(v) for v in iso.shift],
-        "total_curvature": float(total_curvature(curve)),
-    }
-    try:
-        payload["fixed_point"] = [float(v) for v in iso.fixed_point()]
-    except GeometryError as exc:
-        payload["fixed_point"] = None
-        payload["degeneracy"] = str(exc)
+    payload = monodromy_block(curve)
+    # the rotation angle is the end of the turning-angle table
+    payload["total_curvature"] = payload["angle"]
     _choose_format(cfg, "json", ("json",))
     return _write(cfg, render_json(payload))
 

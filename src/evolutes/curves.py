@@ -19,11 +19,11 @@ import numpy as np
 
 from . import expr as ex
 from .errors import IntegrationFailure
-from .quadrature import CumulativeIntegral
 
 __all__ = ["Curve", "ExprCurve", "IntegratedCurve", "FrenetODECurve",
-           "ArclengthMap", "branch_grids", "EPS_K", "EPS_TAU", "MIN_SPEED",
-           "CUSP_GAP", "SPHERICAL_SIGMA", "SIGMA_CLEARANCE", "CONSTANT_SPREAD"]
+           "branch_grids", "EPS_K", "EPS_TAU", "MIN_SPEED", "CUSP_GAP",
+           "SPHERICAL_SIGMA", "SIGMA_CLEARANCE", "CONSTANT_SPREAD",
+           "EDGE_DET", "EDGE_COND", "EDGE_NOISE"]
 
 # Regularity thresholds, shared by every check in the package.
 EPS_K = 1e-9             # curvature at or below this vanishes
@@ -33,6 +33,10 @@ CUSP_GAP = 1e-12         # a parameter this close to a declared cusp is on it
 SPHERICAL_SIGMA = 1e-6   # |sigma| at or below this everywhere: spherical
 SIGMA_CLEARANCE = 1e-3   # |sigma| above this: clear of evolute cusps
 CONSTANT_SPREAD = 1e-9   # relative spread at or below this: a constant profile
+# Regression edges of plane families (envelope.py).
+EDGE_DET = 1e-14         # |det| at or below this x its row norms: singular
+EDGE_COND = 1e12         # condition number above this: no edge point
+EDGE_NOISE = 1e-10       # cusp gap at or below this x its terms' sizes: noise
 
 
 class Curve:
@@ -210,10 +214,3 @@ class FrenetODECurve(IntegratedCurve):
         return (f"FrenetODECurve(k={ex.to_source(self.k_expr)!r}, "
                 f"tau={ex.to_source(self.tau_expr)!r}, domain={self.domain})")
 
-
-class ArclengthMap(CumulativeIntegral):
-    """Cumulative arc length s(t) with a monotone inverse t(s)."""
-
-    def __init__(self, curve: Curve):
-        a, b = curve.domain
-        super().__init__(curve.speed, a, b)

@@ -18,14 +18,15 @@ is also satisfied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve
+from .curves import EDGE_COND, EDGE_DET, EDGE_NOISE, Curve
 from .errors import SingularSystem
 from .frenet import FrenetEval
-from .roots import find_roots
+from .roots import SCAN_SAMPLES, find_roots
 from .taylor import jet_cross, jet_dot, jet_mul
 
 __all__ = [
@@ -84,7 +85,7 @@ def _edge_systems(family: PlaneFamily, ts):
 def edge_point(family: PlaneFamily, t: float) -> np.ndarray:
     """Regression-edge point at t; raises SingularSystem when ill posed."""
     A, rhs = _edge_systems(family, [t])
-    if not np.all(np.isfinite(A)) or np.linalg.cond(A[0]) > 1e12:
+    if not np.all(np.isfinite(A)) or np.linalg.cond(A[0]) > EDGE_COND:
         raise SingularSystem("plane family is degenerate here", t=t)
     return np.linalg.solve(A[0], rhs[0])
 
@@ -95,7 +96,7 @@ def edge_points(family: PlaneFamily, ts) -> np.ndarray:
     scale = np.prod(np.linalg.norm(A, axis=-1), axis=-1)
     with np.errstate(all="ignore"):
         det = np.linalg.det(A)
-        bad = ~(np.abs(det) > 1e-14 * scale)
+        bad = ~(np.abs(det) > EDGE_DET * scale)
     A = A.copy()
     A[bad] = np.eye(3)
     out = np.linalg.solve(A, rhs[..., None])[..., 0]
@@ -105,14 +106,31 @@ def edge_points(family: PlaneFamily, ts) -> np.ndarray:
 
 def edge_cusps(family: PlaneFamily) -> np.ndarray:
     """Parameters where the edge has a cusp: the third derivative of the
-    plane equation also vanishes on the edge point."""
+    plane equation also vanishes on the edge point.
+
+    The gap n3.P - c3 (third derivatives, c3 = sum of C(3, j) nj.x(3-j))
+    is a difference of products.  Where it is at most EDGE_NOISE times
+    their sizes at every scan point, it is rounding noise, as on the
+    normal family of a spherical curve, whose edge is one point: no cusps.
+    """
     def gap(ts):
         n, c = family.jets(ts, 3)
         P = edge_points(family, ts)
         return np.sum(n[3] * P, axis=-1) - c[3]
 
-    a, b = family.curve.domain
-    return find_roots(gap, a, b, closed=family.curve.closed)
+    curve = family.curve
+    a, b = curve.domain
+    ts = np.linspace(a, b, SCAN_SAMPLES + 1)
+    n, _ = family.jets(ts, 3)
+    x = curve.derivatives(ts, 3)
+    size = (np.linalg.norm(n[3], axis=-1)
+            * np.linalg.norm(edge_points(family, ts), axis=-1))
+    for j in range(4):
+        size += (math.comb(3, j) * np.linalg.norm(n[j], axis=-1)
+                 * np.linalg.norm(x[3 - j], axis=-1))
+    if not np.any(np.abs(gap(ts)) > EDGE_NOISE * size):
+        return np.empty(0)
+    return find_roots(gap, a, b, closed=curve.closed)
 
 
 def ruling_directions(family: PlaneFamily, ts) -> np.ndarray:

@@ -11,6 +11,10 @@ curve and vanishes exactly at evolute cusps.  All quantities are vectorized
 over the query parameters and computed to whatever jet order the raw stack
 supports, so derived curves in turn have exact derivatives.
 
+``ArclengthMap`` is the one integral along a curve, c0 + the integral of a
+Frenet weight ds: arc length, the turning angle of the development, the
+torsion angle of the Monge evolutes and every total are its tables.
+
 Conventions: curvature is nonnegative, torsion is signed by det(x', x'',
 x''') and d/ds denotes the arclength derivative.
 """
@@ -22,17 +26,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import (CUSP_GAP, EPS_K, EPS_TAU, MIN_SPEED, ArclengthMap,
-                     Curve)
+from .curves import CUSP_GAP, EPS_K, EPS_TAU, MIN_SPEED, Curve
 from .errors import CuspPoint, DegenerateCurvature, LengthMismatch
-from .quadrature import adaptive_integral
-from .roots import find_roots
-from .taylor import (arclength_derivative, jet_cross, jet_div, jet_dot,
-                     jet_mul, jet_recip, jet_sqrt)
+from .quadrature import CumulativeIntegral
+from .taylor import (antiderivative_jet, arclength_derivative, jet_cross,
+                     jet_div, jet_dot, jet_mul, jet_recip, jet_sqrt)
 
 __all__ = [
     "FrenetEval", "FrenetState", "regular_eval", "frenet_at", "sigma_values",
-    "arclength", "total_curvature", "total_torsion",
+    "ArclengthMap", "arclength", "total_curvature", "total_torsion",
     "total_absolute_torsion", "indicatrix_geodesic_curvature",
     "CongruenceReport", "is_congruent",
 ]
@@ -192,45 +194,52 @@ def sigma_values(curve: Curve, ts) -> np.ndarray:
     return out
 
 
-def arclength(curve: Curve, t0=None, t1=None) -> float:
-    a, b = curve.domain
-    t0 = a if t0 is None else t0
-    t1 = b if t1 is None else t1
-    return adaptive_integral(curve.speed, t0, t1)
+class ArclengthMap(CumulativeIntegral):
+    """c0 + the integral of weight ds from the start of the curve's domain.
+
+    ``weight`` maps a FrenetEval to the jet of the weight: None is 1 (arc
+    length), ``fe.k`` gives the turning angle and ``fe.tau`` the torsion
+    angle.  ``inverse`` (say from arc length to parameter) assumes a
+    weight >= 0.
+    """
+
+    def __init__(self, curve: Curve, weight=None, c0: float = 0.0):
+        self.weight = weight
+        order = 1 if weight is None else 3
+
+        def rate(ts):
+            fe = FrenetEval(curve, ts, order=order)
+            return fe.v[0] if weight is None else weight(fe)[0] * fe.v[0]
+
+        a, b = curve.domain
+        super().__init__(rate, a, b, c0)
+
+    def jets(self, fe: FrenetEval, ts, order: int):
+        """Jet of the map at ts to the given order, from fe, the FrenetEval
+        of the curve at ts; it is one row longer than the jet of
+        weight * speed."""
+        rate = fe.v if self.weight is None else jet_mul(self.weight(fe), fe.v)
+        return antiderivative_jet(self(ts), rate)[: order + 1]
+
+
+def arclength(curve: Curve) -> float:
+    return ArclengthMap(curve).total
 
 
 def total_curvature(curve: Curve) -> float:
     """Integral of k ds over the whole domain."""
-    def integrand(ts):
-        fe = FrenetEval(curve, ts, order=2)
-        return fe.k[0] * fe.v[0]
-    a, b = curve.domain
-    return adaptive_integral(integrand, a, b)
+    return ArclengthMap(curve, lambda fe: fe.k).total
 
 
 def total_torsion(curve: Curve) -> float:
     """Integral of tau ds over the whole domain."""
-    def integrand(ts):
-        fe = FrenetEval(curve, ts, order=3)
-        return fe.tau[0] * fe.v[0]
-    a, b = curve.domain
-    return adaptive_integral(integrand, a, b)
+    return ArclengthMap(curve, lambda fe: fe.tau).total
 
 
 def total_absolute_torsion(curve: Curve) -> float:
-    """Integral of |tau| ds, split at torsion zeros so panels stay smooth."""
-    def tau_fn(ts):
-        return FrenetEval(curve, ts, order=3).tau[0]
-
-    def integrand(ts):
-        fe = FrenetEval(curve, ts, order=3)
-        return np.abs(fe.tau[0]) * fe.v[0]
-
-    a, b = curve.domain
-    cuts = [a, *find_roots(tau_fn, a, b, closed=curve.closed), b]
-    cuts = sorted(set(float(c) for c in cuts))
-    return sum(adaptive_integral(integrand, lo, hi)
-               for lo, hi in zip(cuts[:-1], cuts[1:]))
+    """Integral of |tau| ds over the whole domain; panel refinement resolves
+    the kinks at torsion zeros."""
+    return ArclengthMap(curve, lambda fe: np.sign(fe.tau[0]) * fe.tau).total
 
 
 def indicatrix_geodesic_curvature(curve: Curve, ts) -> np.ndarray:
@@ -256,14 +265,14 @@ def is_congruent(c1: Curve, c2: Curve) -> CongruenceReport:
     image.  Raises LengthMismatch when the arc lengths differ by more than
     1e-3 of the longer, too much for the comparison to mean anything.
     """
-    L1, L2 = arclength(c1), arclength(c2)
+    maps = ArclengthMap(c1), ArclengthMap(c2)
+    L1, L2 = (smap.total for smap in maps)
     if abs(L1 - L2) > 1e-3 * max(L1, L2):
         raise LengthMismatch(f"arc lengths differ: {L1:.9g} vs {L2:.9g}")
     s = np.linspace(0.0, min(L1, L2), 512)
     profiles = []
-    for curve in (c1, c2):
-        t = ArclengthMap(curve).inverse(s)
-        fe = FrenetEval(curve, t, order=3)
+    for curve, smap in zip((c1, c2), maps):
+        fe = FrenetEval(curve, smap.inverse(s), order=3)
         profiles.append((fe.k[0], fe.tau[0]))
     (k1, tau1), (k2, tau2) = profiles
     dk = float(np.max(np.abs(k1 - k2)))

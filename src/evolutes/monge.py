@@ -25,13 +25,12 @@ import math
 
 import numpy as np
 
-from .curves import EPS_K, ArclengthMap, Curve
+from .curves import EPS_K, Curve
 from .errors import DegenerateCurvature, InfinityEscape
-from .frenet import FrenetEval, jet_sum, total_torsion
-from .quadrature import CumulativeIntegral
+from .frenet import ArclengthMap, FrenetEval, jet_sum, total_torsion
 from .roots import find_roots
-from .taylor import (antiderivative_jet, arclength_derivative, jet_div,
-                     jet_dot, jet_mul, jet_sin_cos, jet_sqrt)
+from .taylor import (arclength_derivative, jet_div, jet_dot, jet_mul,
+                     jet_sin_cos, jet_sqrt)
 
 __all__ = [
     "MongeEvoluteCurve", "monge_evolute_point", "monge_evolute_cusps",
@@ -49,26 +48,16 @@ class MongeEvoluteCurve(Curve):
         super().__init__(base.domain, closed, cusps)
         self.base = base
         self.alpha0 = float(alpha0)
-        a, b = base.domain
-
-        def tau_v(ts):
-            fe = FrenetEval(base, ts, order=3)
-            return fe.tau[0] * fe.v[0]
-
-        self._alpha = CumulativeIntegral(tau_v, a, b, c0=self.alpha0)
+        self._alpha = ArclengthMap(base, lambda fe: fe.tau, c0=self.alpha0)
 
     def alpha(self, t):
         """Torsion angle alpha(t) = alpha0 + integral of tau ds."""
         return self._alpha(t)
 
-    def _alpha_jets(self, fe: FrenetEval, ts, order: int):
-        tau_v = jet_mul(fe.tau, fe.v)
-        return antiderivative_jet(self._alpha(ts), tau_v)[: order + 1]
-
     def derivatives(self, t, order: int) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         fe = FrenetEval(self.base, t, order=order + 3)
-        alpha = self._alpha_jets(fe, t, order + 1)
+        alpha = self._alpha.jets(fe, t, order + 1)
         sin_j, cos_j = jet_sin_cos(alpha)
         with np.errstate(all="ignore"):
             tan_j = jet_div(sin_j, cos_j)
@@ -92,7 +81,7 @@ def monge_evolute_point(evolute: MongeEvoluteCurve, t: float) -> np.ndarray:
 
 def _k_cos_alpha_rate(evolute: MongeEvoluteCurve, ts) -> np.ndarray:
     fe = FrenetEval(evolute.base, ts, order=4)
-    alpha = evolute._alpha_jets(fe, np.atleast_1d(np.asarray(ts, float)), 3)
+    alpha = evolute._alpha.jets(fe, np.atleast_1d(np.asarray(ts, float)), 3)
     _, cos_j = jet_sin_cos(alpha)
     with np.errstate(all="ignore"):
         return arclength_derivative(jet_mul(fe.k, cos_j), fe.v)[0]

@@ -1,11 +1,12 @@
-"""Deterministic Gauss-Kronrod quadrature and cumulative integrals.
+"""Cumulative integrals as tables of panel polynomials.
 
 Everything here is vectorized over panels.  The 15-point Kronrod rule with
 its embedded 7-point Gauss rule supplies the error estimate; adaptive
 refinement bisects the offending panels only.
 
-A cumulative integral (arc length, torsion angle, development angle) is the
-table of panels that refinement accepted.  On each panel it keeps the
+A cumulative integral (arc length, turning angle, torsion angle, the
+developed position) is the table of panels that refinement accepted; a
+total is the last entry of its table.  On each panel it keeps the
 degree-14 polynomial through the 15 Kronrod node values, as a Legendre
 series, and the antiderivative of that series: the cumulative sum of
 Chebfun (Driscoll, Hale & Trefethen, *Chebfun Guide*, 2014).  Kronrod's
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import IntegrationFailure
 
-__all__ = ["adaptive_integral", "CumulativeIntegral"]
+__all__ = ["CumulativeIntegral"]
 
 # 15-point Kronrod abscissae/weights and the embedded 7-point Gauss weights
 _XK = np.array([
@@ -99,7 +100,7 @@ def _gk15(f, a, b):
     return kron, np.abs(kron - gauss), y
 
 
-def _refine(f, edges, failure: str):
+def _refine(f, edges):
     """Bisect the panels between edges until each meets its share of the
     error budget; the accepted left ends, values and node values, round by
     round.  A round in which no integrand value is finite ends the
@@ -111,7 +112,7 @@ def _refine(f, edges, failure: str):
         vals, errs, nodes = _gk15(f, lo, hi)
         if not np.isfinite(nodes).any():
             raise IntegrationFailure(
-                f"{failure} on [{edges[0]:.6g}, {edges[-1]:.6g}]:"
+                f"quadrature failed on [{edges[0]:.6g}, {edges[-1]:.6g}]:"
                 " no finite integrand value")
         scale = max(abs(sum(v.sum() for v in keep_val) + vals.sum()), _ATOL)
         budget = (np.abs(hi - lo) / width) * max(_ATOL, _RTOL * scale)
@@ -128,16 +129,7 @@ def _refine(f, edges, failure: str):
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
     raise IntegrationFailure(
-        f"{failure} on [{edges[0]:.6g}, {edges[-1]:.6g}]")
-
-
-def adaptive_integral(f, a: float, b: float) -> float:
-    """Integrate f over [a, b]; f maps an ndarray of parameters to values."""
-    if a == b:
-        return 0.0
-    _, vals, _ = _refine(f, np.array([a, b], dtype=float),
-                         "quadrature failed to converge")
-    return float(sum(v.sum() for v in vals))
+        f"quadrature failed on [{edges[0]:.6g}, {edges[-1]:.6g}]")
 
 
 class CumulativeIntegral:
@@ -159,7 +151,7 @@ class CumulativeIntegral:
         if not b > a:
             raise ValueError("need b > a")
         keep_lo, keep_val, keep_nodes = _refine(
-            f, np.linspace(a, b, _PANELS + 1), "cumulative quadrature failed")
+            f, np.linspace(a, b, _PANELS + 1))
         lo = np.concatenate(keep_lo)
         order = np.argsort(lo)
         self.edges = np.append(lo[order], float(b))

@@ -20,7 +20,7 @@ from .monge import monge_evolutes_closed
 from .rolling import monodromy
 from .taylor import arclength_derivative, jet_mul
 
-__all__ = ["curve_report", "identity_residuals"]
+__all__ = ["curve_report", "identity_residuals", "monodromy_block"]
 
 
 def _listed(values) -> list:
@@ -92,7 +92,9 @@ def _verdict_block(verdict: Verdict) -> dict:
             "cusps": _listed(verdict.cusps)}
 
 
-def _monodromy_block(curve: Curve) -> dict:
+def monodromy_block(curve: Curve) -> dict:
+    """The monodromy of a closed curve and its fixed point, or the reason
+    it has none."""
     iso = monodromy(curve)
     block = {"angle": iso.angle, "angle_mod_2pi": iso.angle_mod_2pi,
              "shift": _listed(iso.shift)}
@@ -152,7 +154,7 @@ def curve_report(curve: Curve, samples: int = 1024,
     if curve.closed:
         attempt("monge_evolutes_closed",
                 lambda: bool(monge_evolutes_closed(curve)))
-        attempt("monodromy", lambda: _monodromy_block(curve))
+        attempt("monodromy", lambda: monodromy_block(curve))
     if circle_delta is not None:
         attempt("osculating_circles",
                 lambda: _circles_block(curve, circle_delta))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .curves import Curve, IntegratedCurve
 from .errors import IdentityMonodromy, NotClosed, PureTranslation
-from .frenet import FrenetEval
+from .frenet import ArclengthMap, FrenetEval
 from .quadrature import CumulativeIntegral
 from .taylor import antiderivative_jet, jet_mul, jet_sin_cos
 
@@ -57,12 +57,7 @@ class Development:
     def __init__(self, curve: Curve):
         self.curve = curve
         a, b = curve.domain
-
-        def kv(ts):
-            fe = FrenetEval(curve, ts, order=2)
-            return fe.k[0] * fe.v[0]
-
-        self._theta = CumulativeIntegral(kv, a, b)
+        self._theta = ArclengthMap(curve, lambda fe: fe.k)
         self._position = CumulativeIntegral(
             lambda ts: np.exp(1j * self._theta(ts)) * curve.speed(ts), a, b)
 
@@ -80,8 +75,7 @@ class Development:
         """Jets of the developed position and turning angle at ts."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         fe = FrenetEval(self.curve, ts, order=max(order, 1) + 1)
-        kv = jet_mul(fe.k, fe.v)
-        theta = antiderivative_jet(self.angle(ts), kv)[: order + 1]
+        theta = self._theta.jets(fe, ts, order)
         sin_j, cos_j = jet_sin_cos(theta)
         vel = np.stack([jet_mul(cos_j, fe.v[: len(cos_j)]),
                         jet_mul(sin_j, fe.v[: len(sin_j)])], axis=-1)
@@ -149,15 +143,17 @@ class TracedInvoluteCurve(IntegratedCurve):
         self._integrate(self._field, self.start.copy(), "involute")
 
     def _field(self, t, P):
-        fe = FrenetEval(self.base, t, order=3)
-        w = fe.tau[0, 0] * fe.v[0, 0] * fe.T[0, 0]
-        return np.cross(w, P - fe.x[0, 0])
+        # tau v T = det(x', x'', x''') / |x' x x''|^2 x'
+        x = self.base.derivatives(t, 3)[:, 0]
+        c = np.cross(x[1], x[2])
+        w = (c @ x[3]) / (c @ c) * x[1]
+        return np.cross(w, P - x[0])
 
     def derivatives(self, t, order: int) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         a, b = self.domain
         fe = FrenetEval(self.base, np.clip(t, a, b), order=max(order, 1) + 2)
-        w = jet_mul(jet_mul(fe.tau, fe.v), fe.T)
+        w = jet_mul(fe.tau, fe.d1)
         out = np.empty((order + 1, len(t), 3))
         out[0] = self._state(np.clip(t, a, b))
         for m in range(order):

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["find_roots"]
+__all__ = ["find_roots", "SCAN_SAMPLES"]
 
+SCAN_SAMPLES = 2048     # intervals of the first scan
 _SPLITS = 32    # sub-intervals laid across a bracket in each round
 _ROUNDS = 12    # cap on the rounds after the first scan
 
@@ -43,7 +44,7 @@ def _bounds(events):
     return np.stack([events // 2, (events + 1) // 2], axis=-1)
 
 
-def find_roots(f, a: float, b: float, samples: int = 2048,
+def find_roots(f, a: float, b: float, samples: int = SCAN_SAMPLES,
                closed: bool = False) -> np.ndarray:
     """Simple roots of f on [a, b], sorted.  f maps ndarray to ndarray."""
     ts = np.linspace(a, b, samples + 1)

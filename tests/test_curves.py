@@ -7,8 +7,8 @@ import pytest
 import sympy as sp
 
 from evolutes import preset, preset_names
-from evolutes.curves import ArclengthMap, ExprCurve, FrenetODECurve, branch_grids
-from evolutes.frenet import FrenetEval, is_congruent
+from evolutes.curves import ExprCurve, FrenetODECurve, branch_grids
+from evolutes.frenet import ArclengthMap, FrenetEval, is_congruent
 
 _T = sp.Symbol("t")
 _KNOT = ("(1 + 0.15*cos(5*t))*cos(t)",

@@ -52,6 +52,12 @@ def test_edge_cusps_of_normal_family_are_sigma_roots(ell_helix):
     assert len(cusps) == 4
 
 
+def test_edge_cusps_of_a_point_edge_are_none():
+    # the normal planes of a spherical curve all pass through the center,
+    # so the cusp gap is rounding noise everywhere
+    assert len(edge_cusps(PlaneFamily(preset("spherical"), "normal"))) == 0
+
+
 def test_singular_system_raises(helix):
     # normal planes of a line are parallel: build a degenerate family
     from evolutes.curves import ExprCurve

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from evolutes import preset
+from evolutes.curves import ExprCurve
 from evolutes.errors import CuspPoint, DegenerateCurvature
 from evolutes.frenet import (FrenetEval, frenet_at,
                              indicatrix_geodesic_curvature, is_congruent,
@@ -104,6 +106,28 @@ def test_total_torsion_signed_vs_absolute(fig8):
     # figure-eight torsion integrates to zero by symmetry
     assert abs(total_torsion(fig8)) < 1e-9
     assert total_absolute_torsion(fig8) > 1.0
+
+
+def test_total_absolute_torsion_through_a_torsion_pole():
+    # t^2, t^3, t^4: tau ~ 4/(3t) at the cusp, where the speed vanishes;
+    # |tau| v is even, so the total is twice the integral over [0, 1]
+    x, w = np.polynomial.legendre.leggauss(200)
+    t = 0.5 * (x + 1.0)
+    rate = (48.0 * np.sqrt(4.0 + 9.0 * t**2 + 16.0 * t**4)
+            / (144.0 * t**4 + 256.0 * t**2 + 36.0))
+    want = float(w @ rate)
+    assert abs(want - 2.7959035902220792) < 1e-14
+    got = total_absolute_torsion(preset("cusp-curve"))
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("start", [0.1, 0.37])
+def test_total_absolute_torsion_with_zeros_inside_panels(fig8, start):
+    # shifting the period moves the torsion zeros off the panel edges
+    shifted = ExprCurve(fig8.components, (start, start + 2.0 * math.pi),
+                        closed=True)
+    want = total_absolute_torsion(fig8)
+    assert abs(total_absolute_torsion(shifted) - want) < 1e-12
 
 
 def test_congruence_detects_rigid_motion(knot):

@@ -98,7 +98,7 @@ def test_involute_offsets_are_tangent_with_string_length(knot):
     fe = FrenetEval(knot, ts, order=2)
     rel = inv.point(ts) - knot.point(ts)
     np.testing.assert_allclose(np.cross(rel, fe.T[0]), 0.0, atol=1e-10)
-    from evolutes.curves import ArclengthMap
+    from evolutes.frenet import ArclengthMap
     s = ArclengthMap(knot)(ts)
     np.testing.assert_allclose(np.linalg.norm(rel, axis=-1), ell - s,
                                atol=1e-9)

@@ -1,33 +1,33 @@
-"""Adaptive Gauss-Kronrod integration and cumulative integral tables."""
+"""Cumulative integral tables: totals, values and inverses."""
 import math
 
 import numpy as np
 import pytest
 
 from evolutes.errors import IntegrationFailure
-from evolutes.quadrature import CumulativeIntegral, adaptive_integral
+from evolutes.quadrature import CumulativeIntegral
 
 
 def test_smooth_integral_to_tolerance():
-    got = adaptive_integral(lambda t: 4.0 / (1.0 + t * t), 0.0, 1.0)
+    got = CumulativeIntegral(lambda t: 4.0 / (1.0 + t * t), 0.0, 1.0).total
     assert abs(got - math.pi) < 1e-11
 
 
 def test_oscillatory_integral():
-    got = adaptive_integral(lambda t: np.sin(40.0 * t), 0.0, math.pi)
+    got = CumulativeIntegral(lambda t: np.sin(40.0 * t), 0.0, math.pi).total
     want = (1.0 - math.cos(40.0 * math.pi)) / 40.0
     assert abs(got - want) < 1e-10
 
 
 def test_kinked_integrand():
     # |t - 1| is the shape a cusp speed has; bisection isolates the kink
-    got = adaptive_integral(lambda t: np.abs(t - 1.0), 0.0, 4.0)
+    got = CumulativeIntegral(lambda t: np.abs(t - 1.0), 0.0, 4.0).total
     assert abs(got - 5.0) < 1e-10
 
 
 def test_divergent_integrand_raises():
     with pytest.raises(IntegrationFailure):
-        adaptive_integral(lambda t: 1.0 / t, 0.0, 1.0)
+        CumulativeIntegral(lambda t: 1.0 / t, 0.0, 1.0).total
 
 
 def test_cumulative_matches_closed_form():
@@ -90,7 +90,7 @@ def test_nan_integrand_stops_at_the_panel_cap():
         return np.full(np.shape(t), np.nan)
 
     with pytest.raises(IntegrationFailure):
-        adaptive_integral(nan, 0.0, 1.0)
+        CumulativeIntegral(nan, 0.0, 1.0).total
     with pytest.raises(IntegrationFailure):
         CumulativeIntegral(nan, 0.0, 1.0)
     assert len(rounds) == 2         # no finite value: one round each
@@ -99,4 +99,4 @@ def test_nan_integrand_stops_at_the_panel_cap():
         return np.where(t < 0.5, np.nan, 1.0)
 
     with pytest.raises(IntegrationFailure):
-        adaptive_integral(half_nan, 0.0, 1.0)
+        CumulativeIntegral(half_nan, 0.0, 1.0).total

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from evolutes import preset
-from evolutes.curves import ArclengthMap, ExprCurve
+from evolutes.curves import ExprCurve
 from evolutes.errors import (IdentityMonodromy, NotClosed, PureTranslation)
 from evolutes.evolute import evolute_points
-from evolutes.frenet import FrenetEval, total_curvature
+from evolutes.frenet import ArclengthMap, FrenetEval, total_curvature
 from evolutes.rolling import (Development, PlanarIsometry, TracedInvoluteCurve,
                               closed_involute, monodromy, trace_involute)
 
