@@ -101,10 +101,13 @@ def monge_escapes(evolute: MongeEvoluteCurve) -> np.ndarray:
                       a, b, closed=evolute.base.closed)
 
 
-def monge_evolutes_closed(curve: Curve) -> bool:
+def monge_evolutes_closed(curve: Curve, torsion: float | None = None) -> bool:
     """Monge evolutes of a closed curve close up iff the total torsion is an
-    integer multiple of pi."""
-    return abs(math.remainder(total_torsion(curve), math.pi)) <= 1e-9
+    integer multiple of pi; ``torsion``, if given, is that total, already
+    computed."""
+    if torsion is None:
+        torsion = total_torsion(curve)
+    return abs(math.remainder(torsion, math.pi)) <= 1e-9
 
 
 class MongeInvoluteCurve(Curve):

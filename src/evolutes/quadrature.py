@@ -18,11 +18,13 @@ never after.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .errors import IntegrationFailure
 
-__all__ = ["CumulativeIntegral"]
+__all__ = ["CumulativeIntegral", "PanelInterpolant"]
 
 # 15-point Kronrod abscissae/weights and the embedded 7-point Gauss weights
 _XK = np.array([
@@ -55,6 +57,13 @@ _MAX_ROUNDS = 48
 # budget (a NaN, a pole) doubles them every round until memory runs out.
 _MAX_LIVE_PANELS = 4096
 _NEWTON_STEPS = 60       # cap on the iterations of an inverse
+# A vector of an interpolant is resolved on a panel when its last two
+# Legendre coefficients are at or below _TAIL_RTOL times its largest
+# component there, or below _TAIL_ATOL.  1e-15 is the rounding floor of
+# _TO_SERIES and is never met; the absolute floor serves a vector that is
+# rounding noise about zero, such as the torsion of a planar curve.
+_TAIL_RTOL = 1e-14
+_TAIL_ATOL = 1e-14
 
 
 def _series(coef, i, x):
@@ -86,50 +95,42 @@ _TO_SERIES = np.linalg.inv(
 _INTEGRATE = _antiderivative_map(len(_XK) - 1)
 
 
-def _gk15(f, a, b):
-    """Kronrod estimate and error for panels [a_i, b_i], and the integrand
-    values at the nodes, in f's dtype (one row per panel); a, b are arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+def _at_nodes(f, lo, hi):
+    """f at the Kronrod nodes of the panels [lo_i, hi_i], in f's dtype, one
+    row per panel; a vector-valued f adds its trailing axis."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _XK
-    y = np.asarray(f(x.ravel())).reshape(x.shape)
-    kron = (y @ _WK) * half
-    gauss = (y[:, 1::2] @ _WG) * half
-    return kron, np.abs(kron - gauss), y
+    y = np.asarray(f(x.ravel()))
+    return y.reshape(x.shape + y.shape[1:])
 
 
-def _refine(f, edges):
-    """Bisect the panels between edges until each meets its share of the
-    error budget; the accepted left ends, values and node values, round by
-    round.  A round in which no integrand value is finite ends the
-    refinement."""
+def _refine(f, edges, accept, what: str):
+    """Bisect the panels between edges until accept(lo, hi, nodes) holds
+    for each, nodes being f at their Kronrod nodes; the accepted left ends
+    and node values, round by round.  A round in which no value of f is
+    finite, or a refinement past the caps, fails with what names the job."""
     lo, hi = edges[:-1], edges[1:]
-    width = abs(edges[-1] - edges[0])
-    keep_lo, keep_val, keep_nodes = [], [], []
+    keep_lo, keep_nodes = [], []
     for _ in range(_MAX_ROUNDS):
-        vals, errs, nodes = _gk15(f, lo, hi)
+        nodes = _at_nodes(f, lo, hi)
         if not np.isfinite(nodes).any():
             raise IntegrationFailure(
-                f"quadrature failed on [{edges[0]:.6g}, {edges[-1]:.6g}]:"
-                " no finite integrand value")
-        scale = max(abs(sum(v.sum() for v in keep_val) + vals.sum()), _ATOL)
-        budget = (np.abs(hi - lo) / width) * max(_ATOL, _RTOL * scale)
-        ok = errs <= budget
+                f"{what} failed on [{edges[0]:.6g}, {edges[-1]:.6g}]:"
+                " no finite value")
+        ok = accept(lo, hi, nodes)
         keep_lo.append(lo[ok])
-        keep_val.append(vals[ok])
         keep_nodes.append(nodes[ok])
         lo, hi = lo[~ok], hi[~ok]
         if lo.size == 0:
-            return keep_lo, keep_val, keep_nodes
+            return np.concatenate(keep_lo), np.concatenate(keep_nodes)
         if 2 * lo.size > _MAX_LIVE_PANELS:
             break
         mid = 0.5 * (lo + hi)
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
     raise IntegrationFailure(
-        f"quadrature failed on [{edges[0]:.6g}, {edges[-1]:.6g}]")
+        f"{what} failed on [{edges[0]:.6g}, {edges[-1]:.6g}]")
 
 
 class CumulativeIntegral:
@@ -150,15 +151,29 @@ class CumulativeIntegral:
     def __init__(self, f, a: float, b: float, c0: float = 0.0):
         if not b > a:
             raise ValueError("need b > a")
-        keep_lo, keep_val, keep_nodes = _refine(
-            f, np.linspace(a, b, _PANELS + 1))
-        lo = np.concatenate(keep_lo)
+        edges = np.linspace(a, b, _PANELS + 1)
+        width = edges[-1] - edges[0]
+        keep_val = []
+
+        def accept(lo, hi, nodes):
+            # the Kronrod value against its embedded Gauss value, within
+            # the panel's share of the budget of the running total
+            half = 0.5 * (hi - lo)
+            vals = (nodes @ _WK) * half
+            errs = np.abs(vals - (nodes[:, 1::2] @ _WG) * half)
+            scale = max(abs(sum(v.sum() for v in keep_val) + vals.sum()),
+                        _ATOL)
+            ok = errs <= ((hi - lo) / width) * max(_ATOL, _RTOL * scale)
+            keep_val.append(vals[ok])
+            return ok
+
+        lo, nodes = _refine(f, edges, accept, "quadrature")
         order = np.argsort(lo)
         self.edges = np.append(lo[order], float(b))
         vals = np.concatenate(keep_val)[order]
         self.table = np.concatenate([[0.0], np.cumsum(vals)]) + float(c0)
         self._half = 0.5 * np.diff(self.edges)
-        self._interpolant = np.concatenate(keep_nodes)[order] @ _TO_SERIES
+        self._interpolant = nodes[order] @ _TO_SERIES
         self._antiderivative = self._interpolant @ _INTEGRATE
         self._start = _series(self._antiderivative, np.arange(len(vals)),
                               -1.0)
@@ -210,3 +225,59 @@ class CumulativeIntegral:
                     break
         t = self.edges[i] + self._half[i] * (x + 1.0)
         return float(t[0]) if scalar else t
+
+
+def _series_of(nodes):
+    """Legendre coefficients of the interpolants through node values, both
+    along axis 1 (panels along axis 0, components after)."""
+    return np.einsum("pn...,nk->pk...", nodes, _TO_SERIES)
+
+
+# P_(n+1)(x) = a_n x P_n(x) - b_n P_(n-1)(x), for n = 1 .. 13
+_RECURRENCE = [((2 * n + 1) / (n + 1), n / (n + 1))
+               for n in range(1, len(_XK) - 1)]
+
+
+class PanelInterpolant:
+    """A function of t on [a, b] with vector values, as panel polynomials.
+
+    f maps an array of N parameters to an array of shape (N, m, d): m
+    vectors of d components.  On every panel the table keeps, per
+    component, the Legendre series of the degree-14 polynomial through f at
+    the panel's Kronrod nodes.  A panel is bisected until, for each of the
+    m vectors, the last two coefficients are at most _TAIL_RTOL times the
+    vector's largest component on the panel (or _TAIL_ATOL), so that
+    quantities of different sizes are each resolved.  f is called once per
+    round of refinement, on the nodes of every open panel, and never after.
+    """
+
+    def __init__(self, f, a: float, b: float):
+        if not b > a:
+            raise ValueError("need b > a")
+
+        def accept(lo, hi, nodes):
+            with np.errstate(invalid="ignore"):      # inf values: nan tails
+                tail = np.abs(_series_of(nodes)[:, -2:]).max(axis=(1, 3))
+            ok = tail <= np.maximum(
+                _TAIL_ATOL, _TAIL_RTOL * np.abs(nodes).max(axis=(1, 3)))
+            return ok.all(axis=1)
+
+        lo, nodes = _refine(f, np.linspace(a, b, _PANELS + 1), accept,
+                            "interpolation")
+        order = np.argsort(lo)
+        self.edges = np.append(lo[order], float(b))
+        self._shape = nodes.shape[2:]
+        # per panel a (15, m d) block whose row k multiplies P_k
+        self._coef = _series_of(nodes[order]).reshape(len(order), len(_XK), -1)
+        self._lefts = self.edges[:-1].tolist()
+        self._halves = (0.5 * np.diff(self.edges)).tolist()
+
+    def at(self, t: float) -> np.ndarray:
+        """The (m, d) values at one parameter, in float arithmetic: the
+        cheap path for a caller that asks for one point at a time."""
+        i = min(max(bisect_right(self._lefts, t) - 1, 0), len(self._lefts) - 1)
+        x = (t - self._lefts[i]) / self._halves[i] - 1.0
+        row = [1.0, x]
+        for a_n, b_n in _RECURRENCE:
+            row.append(a_n * x * row[-1] - b_n * row[-2])
+        return np.dot(row, self._coef[i]).reshape(self._shape)

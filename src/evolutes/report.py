@@ -7,6 +7,7 @@ no monodromy) are recorded with the reason instead of failing the entire run.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -14,10 +15,10 @@ from .classify import Verdict, classify, probe_grid
 from .curves import SIGMA_CLEARANCE, Curve
 from .errors import GeometryError
 from .evolute import EvoluteCurve, osculating_circles_disjoint
-from .frenet import (FrenetEval, arclength, total_absolute_torsion,
-                     total_curvature, total_torsion)
+from .frenet import (ArclengthMap, FrenetEval, arclength,
+                     total_absolute_torsion)
 from .monge import monge_evolutes_closed
-from .rolling import monodromy
+from .rolling import Development, monodromy
 from .taylor import arclength_derivative, jet_mul
 
 __all__ = ["curve_report", "identity_residuals", "monodromy_block"]
@@ -92,10 +93,11 @@ def _verdict_block(verdict: Verdict) -> dict:
             "cusps": _listed(verdict.cusps)}
 
 
-def monodromy_block(curve: Curve) -> dict:
+def monodromy_block(curve: Curve,
+                    development: Development | None = None) -> dict:
     """The monodromy of a closed curve and its fixed point, or the reason
     it has none."""
-    iso = monodromy(curve)
+    iso = monodromy(curve, development)
     block = {"angle": iso.angle, "angle_mod_2pi": iso.angle_mod_2pi,
              "shift": _listed(iso.shift)}
     try:
@@ -142,9 +144,19 @@ def curve_report(curve: Curve, samples: int = 1024,
         report[key] = value if value is None or not isinstance(value, float) \
             or math.isfinite(value) else None
 
+    # the k and tau tables serve two keys each on a closed curve; a table
+    # that fails to build is tried again by the next key, and fails alike
+    @cache
+    def turning():
+        return ArclengthMap(curve, lambda fe: fe.k)
+
+    @cache
+    def torsion_angle():
+        return ArclengthMap(curve, lambda fe: fe.tau)
+
     attempt("arclength", lambda: float(arclength(curve)))
-    attempt("total_curvature", lambda: float(total_curvature(curve)))
-    attempt("total_torsion", lambda: float(total_torsion(curve)))
+    attempt("total_curvature", lambda: float(turning().total))
+    attempt("total_torsion", lambda: float(torsion_angle().total))
     attempt("total_absolute_torsion",
             lambda: float(total_absolute_torsion(curve)))
     for key, construction in (("evolute", "evolute"),
@@ -152,9 +164,10 @@ def curve_report(curve: Curve, samples: int = 1024,
         attempt(key, lambda: _verdict_block(
             classify(curve, construction, samples)))
     if curve.closed:
-        attempt("monge_evolutes_closed",
-                lambda: bool(monge_evolutes_closed(curve)))
-        attempt("monodromy", lambda: monodromy_block(curve))
+        attempt("monge_evolutes_closed", lambda: bool(
+            monge_evolutes_closed(curve, torsion_angle().total)))
+        attempt("monodromy", lambda: monodromy_block(
+            curve, Development(curve, turning())))
     if circle_delta is not None:
         attempt("osculating_circles",
                 lambda: _circles_block(curve, circle_delta))

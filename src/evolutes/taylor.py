@@ -204,14 +204,27 @@ def jet_dot(f, g):
     return out
 
 
+def _cross(f, g):
+    """np.cross of 3-vectors on the last axis, bit for bit: the same
+    products and differences in the same order, without its set-up cost."""
+    out = np.empty(np.broadcast_shapes(f.shape, g.shape),
+                   dtype=np.result_type(f, g))
+    f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
+    g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
+    np.subtract(f1 * g2, f2 * g1, out=out[..., 0])
+    np.subtract(f2 * g0, f0 * g2, out=out[..., 1])
+    np.subtract(f0 * g1, f1 * g0, out=out[..., 2])
+    return out
+
+
 def jet_cross(f, g):
     m = _orders(min(len(f), len(g)))
     f, g = np.asarray(f)[:m], np.asarray(g)[:m]
     out = np.empty(np.broadcast_shapes(f.shape, g.shape))
     for k in range(m):
-        acc = _C[k, 0] * np.cross(f[0], g[k])
+        acc = _C[k, 0] * _cross(f[0], g[k])
         for j in range(1, k + 1):
-            acc = acc + _C[k, j] * np.cross(f[j], g[k - j])
+            acc = acc + _C[k, j] * _cross(f[j], g[k - j])
         out[k] = acc
     return out
 

@@ -2,6 +2,10 @@
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,3 +208,20 @@ def test_cli_is_deterministic(tmp_path):
     assert entry(args + ["--out", str(a)]) == 0
     assert entry(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_evolute_does_not_import_scipy(tmp_path):
+    # scipy.integrate is imported by the ODE curves only, when they are
+    # built; a fresh process that runs no ODE must not pay for it
+    script = (
+        "import sys\n"
+        "from evolutes.cli import entry\n"
+        f"code = entry(['evolute', '--preset', 'helix', '--out', "
+        f"{str(tmp_path / 'e.csv')!r}])\n"
+        "print(code, [m for m in sys.modules if m.startswith('scipy')])\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "[]"]

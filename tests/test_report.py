@@ -4,6 +4,7 @@ import json
 import numpy as np
 
 from evolutes.exporters import render_json
+from evolutes.quadrature import CumulativeIntegral
 from evolutes.report import curve_report, identity_residuals
 
 
@@ -39,3 +40,18 @@ def test_report_marks_cylindrical_pseudo_evolute(helix):
     rep = curve_report(helix, samples=128)
     assert rep["pseudo_evolute"]["cylindrical"] is True
     assert rep["evolute"]["defined"] is True
+
+
+def test_closed_curve_report_builds_five_tables(knot, monkeypatch):
+    # arclength, k (total curvature and the monodromy angle), tau (total
+    # torsion and the Monge closing test), |tau| and the developed position
+    built = []
+    init = CumulativeIntegral.__init__
+
+    def counting(self, *args, **kw):
+        built.append(type(self).__name__)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(CumulativeIntegral, "__init__", counting)
+    curve_report(knot)
+    assert len(built) == 5

@@ -128,3 +128,38 @@ def test_sphere_evolute_of_any_trace_is_the_base(helix):
     ts = np.linspace(0.4, 5.8, 11)
     np.testing.assert_allclose(evolute_points(traced, ts), helix.point(ts),
                                atol=1e-7)
+
+
+def test_closed_involute_reads_its_base_curve_from_a_table(monkeypatch):
+    # the development, the start point and one vectorized call per round of
+    # the field table; a base-curve call per DOP853 stage would be thousands
+    knot = preset("torus-knot")
+    derivatives = knot.derivatives
+    calls = []
+
+    def counting(ts, order):
+        calls.append(np.size(ts))
+        return derivatives(ts, order)
+
+    monkeypatch.setattr(knot, "derivatives", counting)
+    closed_involute(knot)
+    assert len(calls) < 50
+
+
+@pytest.mark.parametrize("name", ["torus-knot", "helix"])
+def test_involute_field_matches_the_direct_formula(name):
+    # w x (P - x) with w = det(x', x'', x''') / |x' x x''|^2 x'
+    curve = preset(name)
+    fe = FrenetEval(curve, curve.domain[0], order=3)
+    inv = trace_involute(curve, fe.x[0, 0] + 0.5 * fe.T[0, 0])
+    rng = np.random.default_rng(7)
+    ts = rng.uniform(*curve.domain, 1000)
+    P = rng.uniform(-3.0, 3.0, (1000, 3))
+    x = curve.derivatives(ts, 3)
+    c = np.cross(x[1], x[2])
+    w = (np.sum(c * x[3], axis=-1) / np.sum(c * c, axis=-1))[:, None] * x[1]
+    want = np.cross(w, P - x[0])
+    got = np.array([inv._field(t, p) for t, p in zip(ts, P)])
+    rel = (np.linalg.norm(got - want, axis=-1)
+           / np.linalg.norm(want, axis=-1))
+    assert rel.max() < 1e-13

@@ -10,7 +10,7 @@ import pytest
 import sympy as sp
 
 from evolutes.frenet import FrenetEval
-from evolutes.taylor import (antiderivative_jet, arclength_derivative,
+from evolutes.taylor import (_cross, antiderivative_jet, arclength_derivative,
                              jet_cross, jet_div, jet_dot, jet_exp, jet_log,
                              jet_mul, jet_pow, jet_recip, jet_sin_cos,
                              jet_sqrt)
@@ -139,3 +139,17 @@ def test_orders_beyond_the_binomial_table_raise_value_error(helix):
     with pytest.raises(ValueError, match="maximum 48"):
         FrenetEval(helix, 0.5, order=60).sigma
     assert len(jet_mul(np.ones(49), np.ones(49))) == 49
+
+
+@pytest.mark.parametrize("shapes", [((4, 1, 3), (4, 1, 3)),
+                                    ((5, 2049, 3), (5, 2049, 3)),
+                                    ((2049, 3), (5, 2049, 3))])
+def test_cross_kernel_is_bit_identical_to_np_cross(shapes):
+    rng = np.random.default_rng(11)
+    f, g = (rng.normal(size=s) * 10.0 ** rng.integers(-8, 8, size=s)
+            for s in shapes)
+    for a in (f, g):
+        a.flat[rng.choice(a.size, 4, replace=False)] = [np.inf, -np.inf,
+                                                        np.nan, 0.0]
+    with np.errstate(invalid="ignore"):      # inf * 0 and inf - inf
+        assert np.array_equal(_cross(f, g), np.cross(f, g), equal_nan=True)
