@@ -19,7 +19,7 @@ from .errors import (CuspPoint, DegenerateCurvature, DomainError,
                      TorsionVanishes)
 from .evolute import (EvoluteCurve, conformal_torsion, evolute_curvature_torsion,
                       evolute_cusps, evolute_escapes, evolute_point,
-                      evolute_points, interior_sign, osculating_circle,
+                      interior_sign, osculating_circle,
                       osculating_circles_disjoint, osculating_sphere,
                       second_evolute_residual)
 from .expr import Expr, evaluate, parse, parse_curve, to_source
@@ -36,9 +36,8 @@ from .pseudo import (PseudoEvoluteCurve, PseudoInvoluteCurve, geodesic_residual,
                      pseudo_evolute_point, pseudo_evolute_points,
                      pseudo_involute)
 from .report import curve_report, identity_residuals
-from .rolling import (ContactElement, Development, PlanarIsometry,
-                      TracedInvoluteCurve, closed_involute, monodromy,
-                      trace_involute)
+from .rolling import (Development, PlanarIsometry, TracedInvoluteCurve,
+                      closed_involute, monodromy, trace_involute)
 
 __version__ = "0.1.0"
 

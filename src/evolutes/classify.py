@@ -21,7 +21,7 @@ import numpy as np
 from .curves import CONSTANT_SPREAD, EPS_K, EPS_TAU, SPHERICAL_SIGMA, Curve
 from .errors import (DegenerateCurvature, GeometryError, InfinityEscape,
                      TorsionVanishes)
-from .evolute import evolute_cusps, evolute_escapes, evolute_points
+from .evolute import EvoluteCurve, evolute_cusps, evolute_escapes
 from .frenet import FrenetEval
 from .monge import MongeEvoluteCurve, monge_escapes, monge_evolute_cusps
 from .pseudo import (PseudoEvoluteCurve, is_constant, is_cylindrical,
@@ -73,7 +73,7 @@ def classify(curve: Curve, construction: str, samples: int,
             f"curvature vanishes identically (k <= EPS_K={EPS_K:g})", t=t0),
             None)
     if construction == "evolute":
-        point = partial(evolute_points, curve)
+        point = EvoluteCurve(curve).point
         if not np.any(np.abs(fe.tau[0]) > EPS_TAU):
             return verdict(TorsionVanishes(
                 "torsion vanishes identically (planar curve,"
@@ -97,7 +97,7 @@ def classify(curve: Curve, construction: str, samples: int,
     elif construction == "monge-evolute":
         ev = MongeEvoluteCurve(curve, alpha0, closed=curve.closed)
         point = ev.point
-        if is_constant(fe.k[0] * np.cos(ev.alpha(ts)), CONSTANT_SPREAD):
+        if is_constant(fe.k[0] * np.cos(ev.alpha(ts))):
             return verdict(GeometryError(
                 "k cos(alpha) is constant (relative spread <= CONSTANT_SPREAD="
                 f"{CONSTANT_SPREAD:g}): the Monge evolute degenerates to a"

@@ -223,10 +223,10 @@ _DISPATCH = {
 
 # ------------------------------------------------------------------ parser
 
-def _pair(text: str, sep: str = ":"):
-    left, _, right = text.partition(sep)
+def _pair(text: str):
+    left, _, right = text.partition(":")
     if not right:
-        raise ValueError(f"expected two values separated by {sep!r}")
+        raise ValueError("expected two values separated by ':'")
     return float(left), float(right)
 
 

@@ -156,8 +156,9 @@ def _reorthonormalize(y):
 
 
 class FrenetODECurve(IntegratedCurve):
-    """Unit-speed curve built from curvature and torsion expressions.
+    """Unit-speed open curve built from curvature and torsion expressions.
 
+    It starts at the origin with the standard basis as its frame (T, N, B).
     The frame system (T' = kN, N' = -kT + tB, B' = -tN, xi' = T) is
     integrated once; the frame is re-orthonormalized after every accepted
     step.  Higher derivatives come from the frame equations themselves
@@ -165,15 +166,11 @@ class FrenetODECurve(IntegratedCurve):
     not from differentiating the solver output.
     """
 
-    def __init__(self, curvature, torsion, domain, origin=(0.0, 0.0, 0.0),
-                 frame=None, **kw):
-        super().__init__(domain, **kw)
+    def __init__(self, curvature, torsion, domain):
+        super().__init__(domain)
         self.k_expr = ex.parse(curvature) if isinstance(curvature, str) else curvature
         self.tau_expr = ex.parse(torsion) if isinstance(torsion, str) else torsion
-        if frame is None:
-            frame = np.eye(3)
-        y0 = np.concatenate([np.asarray(origin, dtype=float),
-                             np.asarray(frame, dtype=float).ravel()])
+        y0 = np.concatenate([np.zeros(3), np.eye(3).ravel()])
         self._integrate(self._rhs, y0, "frame", project=_reorthonormalize)
 
     def _rhs(self, t, y):

@@ -23,7 +23,7 @@ from .roots import find_roots
 from .taylor import (arclength_derivative, jet_div, jet_mul, jet_recip)
 
 __all__ = [
-    "evolute_point", "evolute_points", "EvoluteCurve",
+    "evolute_point", "EvoluteCurve",
     "evolute_cusps", "evolute_escapes",
     "osculating_sphere", "osculating_circle",
     "evolute_curvature_torsion", "interior_sign", "conformal_torsion",
@@ -46,13 +46,6 @@ def evolute_point(curve: Curve, t: float) -> np.ndarray:
     return _evolute_jets(fe, 0)[0, 0].copy()
 
 
-def evolute_points(curve: Curve, ts) -> np.ndarray:
-    """Vectorized evolute locus; degenerate parameters yield inf/nan rows."""
-    fe = FrenetEval(curve, ts, order=3)
-    with np.errstate(all="ignore"):
-        return _evolute_jets(fe, 0)[0]
-
-
 class EvoluteCurve(Curve):
     """The evolute as a differentiable curve in its own right.
 
@@ -62,8 +55,8 @@ class EvoluteCurve(Curve):
     non-finite entries.
     """
 
-    def __init__(self, base: Curve, cusps=()):
-        super().__init__(base.domain, base.closed, cusps)
+    def __init__(self, base: Curve):
+        super().__init__(base.domain, base.closed)
         self.base = base
 
     def derivatives(self, t, order: int) -> np.ndarray:

@@ -74,13 +74,13 @@ def render_obj(patch) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_svg(branches, scale: float = 100.0, pad: float = 10.0,
-               stroke_width: float = 1.5) -> str:
-    """SVG document with one path element per planar branch.
+def render_svg(branches, scale: float = 100.0, pad: float = 10.0) -> str:
+    """SVG document with one black path element, 1.5 pixels wide, per
+    planar branch.
 
     branches is a sequence of (n, 2) arrays in mathematical coordinates;
     the y axis is flipped for screen space and everything is scaled to
-    scale pixels per unit with a fixed margin.
+    scale pixels per unit with a margin of pad pixels.
     """
     branches = [np.asarray(b, dtype=float).reshape(-1, 2) for b in branches]
     drawn = [b for b in branches if len(b) >= 2]
@@ -101,7 +101,7 @@ def render_svg(branches, scale: float = 100.0, pad: float = 10.0,
         ys = (hi[1] - branch[:, 1]) * scale + pad
         steps = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xs, ys))
         lines.append(f'  <path d="M {steps}" fill="none" stroke="black" '
-                     f'stroke-width="{_fmt(stroke_width)}"/>')
+                     'stroke-width="1.5"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

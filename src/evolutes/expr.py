@@ -119,14 +119,14 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent over one text; ``pool`` interns the nodes it makes
-    and may be shared by the parses of one curve."""
+    """Recursive descent over one text; ``pool`` interns the nodes it makes,
+    for every expression of the text."""
 
-    def __init__(self, text, pool):
+    def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.pool = pool
+        self.pool = {}
 
     def node(self, cls, *fields):
         # children are keyed by identity: the pool keeps them alive
@@ -211,41 +211,31 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", off)
 
 
-def _parse(text: str, pool: dict) -> Expr:
-    parser = _Parser(text, pool)
-    node = parser.expr()
+def _parse(text: str, commas: bool) -> list:
+    """The expressions of the text, separated by top-level commas if
+    commas is set."""
+    parser = _Parser(text)
+    nodes = [parser.expr()]
+    while commas and parser.peek()[0] == ",":
+        parser.next()
+        nodes.append(parser.expr())
     kind, value, off = parser.peek()
     if kind != "end":
         raise ParseError(f"expected operator before {value!r}", off)
-    return node
+    return nodes
 
 
 def parse(text: str) -> Expr:
     """Parse expression text into an AST; raises ParseError with offset."""
-    return _parse(text, {})
+    return _parse(text, commas=False)[0]
 
 
 def parse_curve(text: str):
     """Parse 'x,y,z' (top-level commas) into a component Expr triple."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append((start, text[start:i]))
-            start = i + 1
-    parts.append((start, text[start:]))
-    if len(parts) != 3:
-        raise ParseError(f"expected 3 comma-separated components, got {len(parts)}", 0)
-    out, pool = [], {}
-    for off, chunk in parts:
-        try:
-            out.append(_parse(chunk, pool))
-        except ParseError as err:
-            raise ParseError(str(err).rsplit(" (offset", 1)[0], err.offset + off) from None
-    return tuple(out)
+    nodes = _parse(text, commas=True)
+    if len(nodes) != 3:
+        raise ParseError(f"expected 3 comma-separated components, got {len(nodes)}", 0)
+    return tuple(nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,8 @@ class MongeInvoluteCurve(Curve):
     with cusps: they close up exactly when the signed length vanishes.
     """
 
-    def __init__(self, base: Curve, length: float, signed: bool = False, **kw):
-        super().__init__(base.domain, **kw)
+    def __init__(self, base: Curve, length: float, signed: bool = False):
+        super().__init__(base.domain)
         self.base = base
         self.length = float(length)
         self.signed = bool(signed)

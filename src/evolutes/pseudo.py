@@ -107,8 +107,8 @@ def pseudo_evolute_points(curve: Curve, ts) -> np.ndarray:
 class PseudoEvoluteCurve(Curve):
     """The pseudo-evolute as a differentiable curve."""
 
-    def __init__(self, base: Curve, cusps=()):
-        super().__init__(base.domain, base.closed, cusps)
+    def __init__(self, base: Curve):
+        super().__init__(base.domain, base.closed)
         self.base = base
 
     def derivatives(self, t, order: int) -> np.ndarray:
@@ -152,17 +152,17 @@ def is_cylindrical(curve: Curve) -> bool:
     ts = curve.grid(513)[:-1] if curve.closed else curve.grid(512)
     fe = FrenetEval(curve, ts, order=3)
     with np.errstate(all="ignore"):
-        return is_constant(fe.tau[0] / fe.k[0], CONSTANT_SPREAD)
+        return is_constant(fe.tau[0] / fe.k[0])
 
 
-def is_constant(values, rtol: float) -> bool:
-    """True when the finite values exist and spread by at most rtol times
-    the largest of them in size."""
+def is_constant(values) -> bool:
+    """True when the finite values exist and spread by at most
+    CONSTANT_SPREAD times the largest of them in size."""
     values = values[np.isfinite(values)]
     if values.size == 0:
         return False
     scale = max(float(np.max(np.abs(values))), 1e-30)
-    return float(np.max(values) - np.min(values)) <= rtol * scale
+    return float(np.max(values) - np.min(values)) <= CONSTANT_SPREAD * scale
 
 
 def geodesic_residual(curve: Curve, ts) -> np.ndarray:
@@ -186,10 +186,10 @@ class PseudoInvoluteCurve(Curve):
     the base unrolls starting at the origin heading along +x.
     """
 
-    def __init__(self, base: Curve, line_point, line_direction, **kw):
+    def __init__(self, base: Curve, line_point, line_direction):
         from .rolling import Development
 
-        super().__init__(base.domain, **kw)
+        super().__init__(base.domain)
         self.base = base
         self.line_point = np.asarray(line_point, dtype=float)
         d = np.asarray(line_direction, dtype=float)

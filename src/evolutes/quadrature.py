@@ -109,7 +109,9 @@ def _refine(f, edges, accept, what: str):
     """Bisect the panels between edges until accept(lo, hi, nodes) holds
     for each, nodes being f at their Kronrod nodes; the accepted left ends
     and node values, round by round.  A round in which no value of f is
-    finite, or a refinement past the caps, fails with what names the job."""
+    finite, or a refinement past the caps, fails with what names the job;
+    past the caps, the failure names the midpoint of the narrowest panel
+    still open."""
     lo, hi = edges[:-1], edges[1:]
     keep_lo, keep_nodes = [], []
     for _ in range(_MAX_ROUNDS):
@@ -129,8 +131,11 @@ def _refine(f, edges, accept, what: str):
         mid = 0.5 * (lo + hi)
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
+    # the narrowest open panel is where refinement went deepest
+    narrowest = np.argmin(hi - lo)
     raise IntegrationFailure(
-        f"{what} failed on [{edges[0]:.6g}, {edges[-1]:.6g}]")
+        f"{what} failed on [{edges[0]:.6g}, {edges[-1]:.6g}]",
+        t=float(0.5 * (lo[narrowest] + hi[narrowest])))
 
 
 class CumulativeIntegral:

@@ -108,9 +108,9 @@ def monodromy_block(curve: Curve,
     return block
 
 
-def _circles_block(curve: Curve, delta: float, checks: int = 32) -> dict:
+def _circles_block(curve: Curve, delta: float) -> dict:
     a, b = curve.domain
-    probes = np.linspace(a, b, checks, endpoint=False)[1:]
+    probes = np.linspace(a, b, 32, endpoint=False)[1:]
     flags = [osculating_circles_disjoint(curve, float(t0), delta)
              for t0 in probes]
     return {"delta": float(delta), "checked": len(flags),

@@ -14,11 +14,12 @@ with angular rate equal to the torsion, so a tracked point obeys
     dP/dt = tau(t) v(t) T(t) x (P - xi(t)),
 
 which keeps (P - xi) . B constant: a point starting on the osculating plane
-stays on it.  Only P in it depends on the traced point, so w = tau v T and
-xi are tabled once as panel polynomials (``PanelInterpolant``, each
-resolved to 1e-14 of its size) and DOP853 reads the table at every stage;
-the table is that far inside the solver's tolerance of 1e-11, so the trace
-is the one the direct formula gives, to rounding.
+stays on it.  Only P in it depends on the traced point, so w = tau v T,
+which a ``FrenetEval`` of the base curve gives as tau x', and xi are
+tabled once as panel polynomials (``PanelInterpolant``, each resolved
+to 1e-14 of its size) and DOP853 reads the table at every stage; the
+table is that far inside the solver's tolerance of 1e-11, so the trace is
+the one the direct formula gives, to rounding.
 """
 
 from __future__ import annotations
@@ -36,17 +37,9 @@ from .quadrature import CumulativeIntegral, PanelInterpolant
 from .taylor import antiderivative_jet, jet_mul, jet_sin_cos
 
 __all__ = [
-    "Development", "PlanarIsometry", "ContactElement", "monodromy",
+    "Development", "PlanarIsometry", "monodromy",
     "TracedInvoluteCurve", "trace_involute", "closed_involute",
 ]
-
-
-@dataclass(frozen=True)
-class ContactElement:
-    """A point of the rolling plane together with a direction angle."""
-
-    point: np.ndarray
-    angle: float
 
 
 class Development:
@@ -74,9 +67,6 @@ class Development:
     def point(self, t):
         z = self._position(t)
         return np.stack([np.real(z), np.imag(z)], axis=-1)
-
-    def contact(self, t) -> ContactElement:
-        return ContactElement(self.point(float(t)), float(self.angle(float(t))))
 
     def jets(self, ts, order: int):
         """Jets of the developed position and turning angle at ts."""
@@ -123,16 +113,15 @@ class PlanarIsometry:
 
 
 def monodromy(curve: Curve, development: Development | None = None) -> PlanarIsometry:
-    """Isometry taking the initial contact element of the development to the
-    terminal one; defined for closed curves."""
+    """Isometry taking the initial contact element (point and heading angle)
+    of the development to the terminal one; defined for closed curves."""
     a, b = curve.domain
     gap = np.linalg.norm(curve.point(a) - curve.point(b))
     scale = max(1.0, float(np.linalg.norm(curve.point(a))))
     if not curve.closed or gap > 1e-8 * scale:
         raise NotClosed(f"curve endpoints differ by {gap:.3g}")
     dev = development if development is not None else Development(curve)
-    end = dev.contact(b)
-    return PlanarIsometry(angle=end.angle, shift=end.point)
+    return PlanarIsometry(angle=float(dev.angle(b)), shift=dev.point(b))
 
 
 class TracedInvoluteCurve(IntegratedCurve):
@@ -156,8 +145,8 @@ class TracedInvoluteCurve(IntegratedCurve):
     vanishing |x' x x''|^2.
     """
 
-    def __init__(self, base: Curve, start, **kw):
-        super().__init__(base.domain, **kw)
+    def __init__(self, base: Curve, start, closed: bool = False):
+        super().__init__(base.domain, closed)
         self.base = base
         self.start = np.asarray(start, dtype=float)
         self._rolling = PanelInterpolant(partial(_axis_and_foot, base),
@@ -191,13 +180,10 @@ class TracedInvoluteCurve(IntegratedCurve):
 
 
 def _axis_and_foot(base: Curve, ts) -> np.ndarray:
-    """Rows (w, xi) at ts: the angular velocity w = tau v T of the rolling
-    plane, det(x', x'', x''') / |x' x x''|^2 x', and the contact point xi."""
-    x = base.derivatives(ts, 3)
-    c = np.cross(x[1], x[2])
-    with np.errstate(all="ignore"):
-        rate = np.sum(c * x[3], axis=-1) / np.sum(c * c, axis=-1)
-    return np.stack([rate[:, None] * x[1], x[0]], axis=1)
+    """Rows (w, xi) at ts: the angular velocity w = tau v T = tau x' of the
+    rolling plane and the contact point xi."""
+    fe = FrenetEval(base, ts, 3)
+    return np.stack([fe.tau[0][:, None] * fe.d1[0], fe.x[0]], axis=1)
 
 
 def trace_involute(curve: Curve, start) -> TracedInvoluteCurve:
@@ -211,16 +197,13 @@ def trace_involute(curve: Curve, start) -> TracedInvoluteCurve:
     return TracedInvoluteCurve(curve, start)
 
 
-def closed_involute(curve: Curve,
-                    development: Development | None = None) -> TracedInvoluteCurve:
+def closed_involute(curve: Curve) -> TracedInvoluteCurve:
     """The involute seeded at the monodromy fixed point.
 
     For a generic closed curve this is the unique closed involute; the
     caller can check the residual gap between its endpoints.
     """
-    dev = development if development is not None else Development(curve)
-    iso = monodromy(curve, dev)
-    p = iso.fixed_point()
+    p = monodromy(curve).fixed_point()
     fe = FrenetEval(curve, curve.domain[0], order=3)
     start = fe.x[0, 0] + p[0] * fe.T[0, 0] + p[1] * fe.N[0, 0]
     return TracedInvoluteCurve(curve, start, closed=True)

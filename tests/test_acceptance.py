@@ -13,7 +13,7 @@ import pytest
 from evolutes import preset, preset_names
 from evolutes.curves import ExprCurve, FrenetODECurve
 from evolutes.evolute import (EvoluteCurve, evolute_cusps, evolute_point,
-                              evolute_points, osculating_circles_disjoint,
+                              osculating_circles_disjoint,
                               second_evolute_residual)
 from evolutes.frenet import (FrenetEval, is_congruent, sigma_values,
                              total_absolute_torsion, total_curvature)
@@ -81,7 +81,7 @@ def test_criterion_03_sphere_radius_identity():
         curve = preset(name)
         ts = curve.grid(512)
         fe = FrenetEval(curve, ts, order=5)
-        e = evolute_points(curve, ts)
+        e = EvoluteCurve(curve).point(ts)
         R2 = np.sum((e - curve.point(ts)) ** 2, axis=-1)
         resid = np.abs(R2 - fe.r[0] ** 2 - fe.rr[0] ** 2) / R2
         worst = max(worst, float(np.max(resid)))
@@ -161,7 +161,7 @@ def test_criterion_07_cusp_censuses(ell_helix, knot):
 
 def test_criterion_08_spherical_curve_evolute_is_center(spherical):
     ts = spherical.grid(512)
-    e = evolute_points(spherical, ts)
+    e = EvoluteCurve(spherical).point(ts)
     off = float(np.max(np.linalg.norm(e, axis=-1)))
     sig = float(np.max(np.abs(sigma_values(spherical, ts))))
     assert off <= 1e-6 and sig <= 1e-8
@@ -269,7 +269,8 @@ def test_criterion_14_monodromy_and_closed_involute(knot):
     # parameters, so the pointwise gap bounds the Hausdorff distance of the
     # two point sets
     ts = np.linspace(a, b, 4096)
-    dist = np.linalg.norm(evolute_points(inv, ts) - knot.point(ts), axis=-1)
+    dist = np.linalg.norm(EvoluteCurve(inv).point(ts) - knot.point(ts),
+                          axis=-1)
     hausdorff = float(np.max(dist))
     assert hausdorff <= 1e-3
     _pass(14, f"monodromy angle = total curvature (mod 2pi) to {wrap:.2e}; "

@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from evolutes import preset
 from evolutes.cli import entry
+from evolutes.monge import MongeInvoluteCurve
 
 
 def _csv(path):
@@ -189,6 +191,37 @@ def test_develop_and_involute(tmp_path, capsys):
     data = _csv(out)
     gap = np.linalg.norm(data[0, 1:4] - data[-1, 1:4])
     assert gap < 1e-4
+
+
+def test_involute_failure_names_the_parameter(tmp_path, capsys):
+    # a planar curve whose |x' x x''| is least near t = 0.598: the rolling
+    # rate tau is rounding noise there and its table never resolves
+    out = tmp_path / "inv.csv"
+    assert entry(["involute", "--expr", "cos(3*t), sin(t), cos(3*t)+ 2*sin(t)",
+                  "--range", "0.5:2", "--point", "0.5:0.2",
+                  "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "failed on [0.5, 2] at t≈0.59" in err
+    assert not out.exists()
+
+
+def test_monge_involute_rows_are_the_curve(tmp_path):
+    out = tmp_path / "mi.csv"
+    assert entry(["monge-involute", "--preset", "helix", "--length", "10",
+                  "--out", str(out)]) == 0
+    data = _csv(out)
+    want = MongeInvoluteCurve(preset("helix"), 10.0).point(data[:, 0])
+    np.testing.assert_array_equal(data[:, 1:4], want)
+
+
+def test_signed_monge_involute_skips_the_cusp(tmp_path):
+    out = tmp_path / "mi.csv"
+    assert entry(["monge-involute", "--preset", "cusp-curve", "--length", "1",
+                  "--signed", "--out", str(out)]) == 0
+    data = _csv(out)
+    assert np.isfinite(data).all()
+    # branch_grids keeps 1e-3 of the width of (-1, 1) clear of the cusp at 0
+    assert np.abs(data[:, 0]).min() >= 2e-3 - 1e-12
 
 
 def test_report_degrades_gracefully(tmp_path):

@@ -14,7 +14,7 @@ from evolutes import preset
 from evolutes.curves import ExprCurve
 from evolutes.evolute import (EvoluteCurve, conformal_torsion,
                               evolute_curvature_torsion, evolute_cusps,
-                              evolute_escapes, evolute_point, evolute_points,
+                              evolute_escapes, evolute_point,
                               interior_sign, osculating_circle,
                               osculating_circles_disjoint, osculating_sphere,
                               second_evolute_residual)
@@ -51,7 +51,6 @@ def test_helix_evolute_closed_form(helix):
     # r = 2, dr/ds = 0: e = xi + 2 N = (-cos t, -sin t, t)
     ts = np.linspace(0.0, 6.2, 32)
     want = np.stack([-np.cos(ts), -np.sin(ts), ts], axis=-1)
-    np.testing.assert_allclose(evolute_points(helix, ts), want, atol=1e-10)
     np.testing.assert_allclose(EvoluteCurve(helix).point(ts), want,
                                atol=1e-10)
 
@@ -59,7 +58,7 @@ def test_helix_evolute_closed_form(helix):
 def test_cusp_curve_evolute_stays_bounded(cusp_curve):
     # (t^2, t^3, t^4) has an ordinary cusp at 0 but its evolute tends to a
     # finite point on the z axis
-    near = evolute_points(cusp_curve, np.array([-1e-5, 1e-5]))
+    near = EvoluteCurve(cusp_curve).point(np.array([-1e-5, 1e-5]))
     np.testing.assert_allclose(near[0], near[1], atol=1e-3)
     np.testing.assert_allclose(near[0], [0.0, 0.0, 0.5], atol=1e-3)
 
@@ -126,7 +125,7 @@ def test_second_evolute_residual_detects_generic_curve(knot):
 
 
 def test_spherical_curve_evolute_is_a_point(spherical):
-    pts = evolute_points(spherical, np.linspace(0.1, 6.1, 64))
+    pts = EvoluteCurve(spherical).point(np.linspace(0.1, 6.1, 64))
     spread = np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1))
     assert spread < 1e-9
 

@@ -95,9 +95,11 @@ def test_parse_errors_carry_offsets(text, offset):
 
 
 def test_parse_curve_offsets_are_global():
-    with pytest.raises(ParseError) as info:
-        parse_curve("t, t, cos(")
-    assert info.value.offset == 10
+    for text, offset in (("t, t, cos(", 10), ("t,,t", 2),
+                         ("sin(t, t), t, t", 5)):
+        with pytest.raises(ParseError) as info:
+            parse_curve(text)
+        assert info.value.offset == offset
     with pytest.raises(ParseError):
         parse_curve("t, t")
 

@@ -128,6 +128,6 @@ def test_panel_interpolant_of_a_pole_fails_naming_the_interval():
         return (1.0 / (t - 1.0 / 3.0))[:, None, None]
 
     with pytest.raises(IntegrationFailure,
-                       match=r"interpolation failed on \[0, 1\]"):
+                       match=r"interpolation failed on \[0, 1\] at t≈0\.33"):
         PanelInterpolant(pole, 0.0, 1.0)
     assert max(calls) <= 15 * 4096

@@ -7,7 +7,7 @@ import pytest
 from evolutes import preset
 from evolutes.curves import ExprCurve
 from evolutes.errors import (IdentityMonodromy, NotClosed, PureTranslation)
-from evolutes.evolute import evolute_points
+from evolutes.evolute import EvoluteCurve
 from evolutes.frenet import ArclengthMap, FrenetEval, total_curvature
 from evolutes.rolling import (Development, PlanarIsometry, TracedInvoluteCurve,
                               closed_involute, monodromy, trace_involute)
@@ -117,7 +117,7 @@ def test_closed_involute_closes_and_inverts_the_evolute(knot):
     # the rolling traces are exactly the curves whose osculating-sphere
     # evolute is the base curve
     ts = np.linspace(0.3, 6.0, 9)
-    np.testing.assert_allclose(evolute_points(inv, ts), knot.point(ts),
+    np.testing.assert_allclose(EvoluteCurve(inv).point(ts), knot.point(ts),
                                atol=1e-8)
 
 
@@ -126,7 +126,7 @@ def test_sphere_evolute_of_any_trace_is_the_base(helix):
     start = fe.x[0, 0] + 1.3 * fe.T[0, 0] + 0.4 * fe.N[0, 0]
     traced = trace_involute(helix, start)
     ts = np.linspace(0.4, 5.8, 11)
-    np.testing.assert_allclose(evolute_points(traced, ts), helix.point(ts),
+    np.testing.assert_allclose(EvoluteCurve(traced).point(ts), helix.point(ts),
                                atol=1e-7)
 
 
