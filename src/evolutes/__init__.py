@@ -10,34 +10,30 @@ from .catalog import CATALOG, CurveSpec, preset, preset_names
 from .classify import Verdict, classify
 from .curves import Curve, ExprCurve, FrenetODECurve, branch_grids
 from .envelope import (Line3, PlaneFamily, RuledPatch, developable_patch,
-                       edge_cusps, edge_point, edge_points, polar_line,
-                       ruling_directions)
+                       edge_cusps, edge_points, polar_line, ruling_directions)
 from .errors import (CuspPoint, DegenerateCurvature, DomainError,
                      GeometryError, IdentityMonodromy, InfinityEscape,
                      IntegrationFailure, LengthMismatch, LineThroughEdge,
-                     NotClosed, ParseError, PureTranslation, SingularSystem,
-                     TorsionVanishes)
+                     NotClosed, ParseError, PureTranslation, TorsionVanishes)
 from .evolute import (EvoluteCurve, conformal_torsion, evolute_curvature_torsion,
                       evolute_cusps, evolute_escapes, evolute_point,
                       interior_sign, osculating_circle,
                       osculating_circles_disjoint, osculating_sphere,
                       second_evolute_residual)
 from .expr import Expr, evaluate, parse, parse_curve, to_source
-from .frenet import (ArclengthMap, CongruenceReport, FrenetEval, FrenetState,
-                     arclength, frenet_at, indicatrix_geodesic_curvature,
-                     is_congruent, sigma_values, total_absolute_torsion,
-                     total_curvature, total_torsion)
+from .frenet import (ArclengthMap, CongruenceReport, FrenetEval, arclength,
+                     indicatrix_geodesic_curvature, is_congruent, sigma_values,
+                     total_absolute_torsion, total_curvature, total_torsion)
 from .monge import (MongeEvoluteCurve, MongeInvoluteCurve, envelope_meetings,
                     monge_escapes, monge_evolute_cusps, monge_evolute_point,
                     monge_evolutes_closed, offset_angles, signed_length,
                     string_residual)
 from .pseudo import (PseudoEvoluteCurve, PseudoInvoluteCurve, geodesic_residual,
                      is_cylindrical, pseudo_cusps, pseudo_escapes,
-                     pseudo_evolute_point, pseudo_evolute_points,
-                     pseudo_involute)
+                     pseudo_evolute_point, pseudo_evolute_points)
 from .report import curve_report, identity_residuals
 from .rolling import (Development, PlanarIsometry, TracedInvoluteCurve,
-                      closed_involute, monodromy, trace_involute)
+                      closed_involute, monodromy)
 
 __version__ = "0.1.0"
 

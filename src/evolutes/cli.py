@@ -21,10 +21,10 @@ from .errors import DomainError, GeometryError, ParseError
 from .envelope import developable_patch
 from .exporters import atomic_write, render_csv, render_json, render_obj, \
     render_svg
-from .frenet import FrenetEval, frenet_at
+from .frenet import FrenetEval
 from .monge import MongeInvoluteCurve
 from .report import curve_report, monodromy_block
-from .rolling import Development, closed_involute, trace_involute
+from .rolling import Development, TracedInvoluteCurve, closed_involute
 
 __all__ = ["RunConfig", "build_curve", "entry"]
 
@@ -163,13 +163,8 @@ def _cmd_monge_involute(cfg: RunConfig, curve: Curve) -> int:
 
 
 def _cmd_involute(cfg: RunConfig, curve: Curve) -> int:
-    if cfg.point is None:
-        gamma = closed_involute(curve)
-    else:
-        state = frenet_at(curve, curve.domain[0])
-        start = (state.point + cfg.point[0] * state.tangent
-                 + cfg.point[1] * state.normal)
-        gamma = trace_involute(curve, start)
+    gamma = (closed_involute(curve) if cfg.point is None
+             else TracedInvoluteCurve(curve, cfg.point))
     ts = gamma.grid(cfg.samples)
     return _emit_polyline(cfg, [(ts, gamma.point(ts))])
 

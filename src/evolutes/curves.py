@@ -23,7 +23,7 @@ from .errors import IntegrationFailure
 __all__ = ["Curve", "ExprCurve", "IntegratedCurve", "FrenetODECurve",
            "branch_grids", "EPS_K", "EPS_TAU", "MIN_SPEED", "CUSP_GAP",
            "SPHERICAL_SIGMA", "SIGMA_CLEARANCE", "CONSTANT_SPREAD",
-           "EDGE_DET", "EDGE_COND", "EDGE_NOISE"]
+           "EDGE_DET", "EDGE_NOISE"]
 
 # Regularity thresholds, shared by every check in the package.
 EPS_K = 1e-9             # curvature at or below this vanishes
@@ -35,7 +35,6 @@ SIGMA_CLEARANCE = 1e-3   # |sigma| above this: clear of evolute cusps
 CONSTANT_SPREAD = 1e-9   # relative spread at or below this: a constant profile
 # Regression edges of plane families (envelope.py).
 EDGE_DET = 1e-14         # |det| at or below this x its row norms: singular
-EDGE_COND = 1e12         # condition number above this: no edge point
 EDGE_NOISE = 1e-10       # cusp gap at or below this x its terms' sizes: noise
 
 

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import EDGE_COND, EDGE_DET, EDGE_NOISE, Curve
-from .errors import SingularSystem
+from .curves import EDGE_DET, EDGE_NOISE, Curve
 from .frenet import FrenetEval
 from .roots import SCAN_SAMPLES, find_roots
 from .taylor import jet_cross, jet_dot, jet_mul
 
 __all__ = [
-    "Line3", "PlaneFamily", "edge_point", "edge_points", "edge_cusps",
+    "Line3", "PlaneFamily", "edge_points", "edge_cusps",
     "ruling_directions", "polar_line", "RuledPatch", "developable_patch",
 ]
 
@@ -75,29 +74,16 @@ class PlaneFamily:
         return n, c
 
 
-def _edge_systems(family: PlaneFamily, ts):
+def edge_points(family: PlaneFamily, ts) -> np.ndarray:
+    """Regression edge at ts, from the plane equation and its first two
+    derivatives; singular parameters give nan rows."""
     n, c = family.jets(ts, 2)
     A = np.stack([n[0], n[1], n[2]], axis=-2)
     rhs = np.stack([c[0], c[1], c[2]], axis=-1)
-    return A, rhs
-
-
-def edge_point(family: PlaneFamily, t: float) -> np.ndarray:
-    """Regression-edge point at t; raises SingularSystem when ill posed."""
-    A, rhs = _edge_systems(family, [t])
-    if not np.all(np.isfinite(A)) or np.linalg.cond(A[0]) > EDGE_COND:
-        raise SingularSystem("plane family is degenerate here", t=t)
-    return np.linalg.solve(A[0], rhs[0])
-
-
-def edge_points(family: PlaneFamily, ts) -> np.ndarray:
-    """Vectorized regression edge; singular parameters give nan rows."""
-    A, rhs = _edge_systems(family, ts)
     scale = np.prod(np.linalg.norm(A, axis=-1), axis=-1)
     with np.errstate(all="ignore"):
         det = np.linalg.det(A)
         bad = ~(np.abs(det) > EDGE_DET * scale)
-    A = A.copy()
     A[bad] = np.eye(3)
     out = np.linalg.solve(A, rhs[..., None])[..., 0]
     out[bad] = np.nan

@@ -45,10 +45,6 @@ class InfinityEscape(GeometryError):
     """The requested point escapes to infinity (denominator vanishes)."""
 
 
-class SingularSystem(GeometryError):
-    """A linear envelope system is numerically singular."""
-
-
 class IntegrationFailure(GeometryError):
     """The ODE integrator could not reach the requested tolerance."""
 

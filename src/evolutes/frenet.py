@@ -33,7 +33,7 @@ from .taylor import (antiderivative_jet, arclength_derivative, jet_cross,
                      jet_div, jet_dot, jet_mul, jet_recip, jet_sqrt)
 
 __all__ = [
-    "FrenetEval", "FrenetState", "regular_eval", "frenet_at", "sigma_values",
+    "FrenetEval", "regular_eval", "sigma_values",
     "ArclengthMap", "arclength", "total_curvature", "total_torsion",
     "total_absolute_torsion", "indicatrix_geodesic_curvature",
     "CongruenceReport", "is_congruent",
@@ -136,22 +136,6 @@ class FrenetEval:
             arclength_derivative(self.rr, self.v)))
 
 
-@dataclass(frozen=True)
-class FrenetState:
-    """Frenet data of a curve at one parameter."""
-
-    t: float
-    point: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    binormal: np.ndarray
-    speed: float
-    curvature: float
-    torsion: float
-    radius: float
-    sigma: float
-
-
 def regular_eval(curve: Curve, t: float, order: int) -> FrenetEval:
     """FrenetEval at the single parameter t; raises CuspPoint on a declared
     cusp or where the speed vanishes, DegenerateCurvature where k does."""
@@ -164,26 +148,6 @@ def regular_eval(curve: Curve, t: float, order: int) -> FrenetEval:
     if not fe.k[0, 0] > EPS_K:
         raise DegenerateCurvature("curvature vanishes", t=t)
     return fe
-
-
-def frenet_at(curve: Curve, t: float) -> FrenetState:
-    """Frenet state at t; raises at cusps and where curvature vanishes."""
-    fe = regular_eval(curve, t, order=4)
-    k = float(fe.k[0, 0])
-    tau = float(fe.tau[0, 0])
-    sigma = float(fe.sigma[0, 0]) if abs(tau) > EPS_TAU else float("nan")
-    return FrenetState(
-        t=float(t),
-        point=fe.x[0, 0].copy(),
-        tangent=fe.T[0, 0].copy(),
-        normal=fe.N[0, 0].copy(),
-        binormal=fe.B[0, 0].copy(),
-        speed=float(fe.v[0, 0]),
-        curvature=k,
-        torsion=tau,
-        radius=1.0 / k,
-        sigma=sigma,
-    )
 
 
 def sigma_values(curve: Curve, ts) -> np.ndarray:

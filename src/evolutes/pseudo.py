@@ -28,18 +28,20 @@ rectifying developable and no pseudo-evolute at all.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .curves import CONSTANT_SPREAD, Curve
-from .errors import InfinityEscape
+from .errors import InfinityEscape, LineThroughEdge
 from .frenet import FrenetEval, jet_sum
 from .roots import find_roots
-from .taylor import arclength_derivative, jet_div, jet_mul
+from .taylor import arclength_derivative, jet_div, jet_mul, jet_sin_cos
 
 __all__ = [
     "pseudo_evolute_point", "pseudo_evolute_points", "PseudoEvoluteCurve",
     "pseudo_escapes", "pseudo_cusps", "is_cylindrical", "is_constant",
-    "geodesic_residual", "PseudoInvoluteCurve", "pseudo_involute",
+    "geodesic_residual", "PseudoInvoluteCurve",
 ]
 
 
@@ -182,8 +184,13 @@ class PseudoInvoluteCurve(Curve):
 
     Straight lines in the unrolled surface are exactly its geodesics;
     pulled back to space they are the curves whose pseudo-evolute is the
-    base curve.  The line lives in the development plane of the base, where
-    the base unrolls starting at the origin heading along +x.
+    base curve.  The line, through ``line_point`` along ``line_direction``,
+    lives in the development plane of the base, where the base unrolls
+    starting at the origin heading along +x.
+
+    Warns LineThroughEdge when the line passes within 1e-6 of the scale of
+    the developed base curve at one of 512 samples: the involute then
+    touches the regression edge and has a cusp there.
     """
 
     def __init__(self, base: Curve, line_point, line_direction):
@@ -195,10 +202,16 @@ class PseudoInvoluteCurve(Curve):
         d = np.asarray(line_direction, dtype=float)
         self.line_direction = d / np.linalg.norm(d)
         self.development = Development(base)
+        dev_pts = self.development.point(self.grid(512))
+        rel = self.line_point - dev_pts
+        dx, dy = self.line_direction
+        offsets = rel[:, 0] * dy - rel[:, 1] * dx
+        scale = max(1.0, float(np.max(np.abs(dev_pts))))
+        if float(np.min(np.abs(offsets))) <= 1e-6 * scale:
+            warnings.warn("development line meets the developed edge; "
+                          "the involute has a cusp there", LineThroughEdge)
 
     def derivatives(self, t, order: int) -> np.ndarray:
-        from .taylor import jet_sin_cos
-
         t = np.atleast_1d(np.asarray(t, dtype=float))
         pos, theta = self.development.jets(t, order)
         sin_j, cos_j = jet_sin_cos(theta)
@@ -218,26 +231,3 @@ class PseudoInvoluteCurve(Curve):
                 f"point={self.line_point.tolist()}, "
                 f"direction={self.line_direction.tolist()})")
 
-
-def pseudo_involute(base: Curve, line_point,
-                    line_direction) -> PseudoInvoluteCurve:
-    """Pseudo-involute of the base curve cut out by a development line.
-
-    Warns when the line passes through the developed base curve: the
-    involute then touches the regression edge and has a cusp there.
-    """
-    import warnings
-
-    from .errors import LineThroughEdge
-
-    curve = PseudoInvoluteCurve(base, line_point, line_direction)
-    ts = curve.grid(512)
-    dev_pts = curve.development.point(ts)
-    d = curve.line_direction
-    offsets = ((curve.line_point - dev_pts)[:, 0] * d[1]
-               - (curve.line_point - dev_pts)[:, 1] * d[0])
-    scale = max(1.0, float(np.max(np.abs(dev_pts))))
-    if float(np.min(np.abs(offsets))) <= 1e-6 * scale:
-        warnings.warn("development line meets the developed edge; "
-                      "the involute has a cusp there", LineThroughEdge)
-    return curve

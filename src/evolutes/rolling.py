@@ -8,6 +8,11 @@ back to its initial position composed with an orientation-preserving
 isometry, the monodromy, whose rotation angle is the total curvature of the
 curve; its fixed point seeds the unique closed involute.
 
+So an involute is indexed by a point p of the rolling plane, given as
+coordinates (x, y) in the initial frame (T, N): the same coordinates as the
+development and the monodromy fixed point.  ``TracedInvoluteCurve(base, p)``
+is the trace of p, and ``closed_involute`` passes the fixed point.
+
 The instantaneous motion of H is a rotation about the current tangent line
 with angular rate equal to the torsion, so a tracked point obeys
 
@@ -32,13 +37,13 @@ import numpy as np
 
 from .curves import Curve, IntegratedCurve
 from .errors import IdentityMonodromy, NotClosed, PureTranslation
-from .frenet import ArclengthMap, FrenetEval
+from .frenet import ArclengthMap, FrenetEval, regular_eval
 from .quadrature import CumulativeIntegral, PanelInterpolant
 from .taylor import antiderivative_jet, jet_mul, jet_sin_cos
 
 __all__ = [
     "Development", "PlanarIsometry", "monodromy",
-    "TracedInvoluteCurve", "trace_involute", "closed_involute",
+    "TracedInvoluteCurve", "closed_involute",
 ]
 
 
@@ -127,6 +132,12 @@ def monodromy(curve: Curve, development: Development | None = None) -> PlanarIso
 class TracedInvoluteCurve(IntegratedCurve):
     """Trajectory of one rolling-plane point: an involute of the base curve.
 
+    ``plane_point`` is (x, y) in the initial frame (T, N) at the start a
+    of the domain, so the trace starts at the base point plus x T + y N,
+    on the initial osculating plane by construction.  That frame comes
+    from ``regular_eval``: a cusp or vanishing curvature at a raises
+    CuspPoint or DegenerateCurvature.
+
     The defining field w x (P - xi) with w = tau v T is integrated once;
     derivatives of any order follow from the same field by the Leibniz
     rule, using exact jets of the base curve.
@@ -145,13 +156,16 @@ class TracedInvoluteCurve(IntegratedCurve):
     vanishing |x' x x''|^2.
     """
 
-    def __init__(self, base: Curve, start, closed: bool = False):
+    def __init__(self, base: Curve, plane_point, closed: bool = False):
         super().__init__(base.domain, closed)
         self.base = base
-        self.start = np.asarray(start, dtype=float)
+        self.plane_point = np.asarray(plane_point, dtype=float)
+        fe = regular_eval(base, base.domain[0], order=3)
+        x, y = self.plane_point
+        start = fe.x[0, 0] + x * fe.T[0, 0] + y * fe.N[0, 0]
         self._rolling = PanelInterpolant(partial(_axis_and_foot, base),
                                          *base.domain)
-        self._integrate(self._field, self.start.copy(), "involute")
+        self._integrate(self._field, start, "involute")
 
     def _field(self, t, P):
         (w0, w1, w2), (x0, x1, x2) = self._rolling.at(t).tolist()
@@ -176,7 +190,8 @@ class TracedInvoluteCurve(IntegratedCurve):
         return out
 
     def __repr__(self):
-        return f"TracedInvoluteCurve({self.base!r}, start={self.start.tolist()})"
+        return (f"TracedInvoluteCurve({self.base!r}, "
+                f"plane_point={self.plane_point.tolist()})")
 
 
 def _axis_and_foot(base: Curve, ts) -> np.ndarray:
@@ -186,24 +201,11 @@ def _axis_and_foot(base: Curve, ts) -> np.ndarray:
     return np.stack([fe.tau[0][:, None] * fe.d1[0], fe.x[0]], axis=1)
 
 
-def trace_involute(curve: Curve, start) -> TracedInvoluteCurve:
-    """Involute through the given space point, which must lie on the initial
-    osculating plane."""
-    fe = FrenetEval(curve, curve.domain[0], order=3)
-    offset = np.asarray(start, dtype=float) - fe.x[0, 0]
-    normal_part = abs(float(offset @ fe.B[0, 0]))
-    if normal_part > 1e-8 * max(1.0, float(np.linalg.norm(offset))):
-        raise ValueError("start point is not on the initial osculating plane")
-    return TracedInvoluteCurve(curve, start)
-
-
 def closed_involute(curve: Curve) -> TracedInvoluteCurve:
-    """The involute seeded at the monodromy fixed point.
+    """The involute traced by the monodromy fixed point.
 
     For a generic closed curve this is the unique closed involute; the
     caller can check the residual gap between its endpoints.
     """
-    p = monodromy(curve).fixed_point()
-    fe = FrenetEval(curve, curve.domain[0], order=3)
-    start = fe.x[0, 0] + p[0] * fe.T[0, 0] + p[1] * fe.N[0, 0]
-    return TracedInvoluteCurve(curve, start, closed=True)
+    return TracedInvoluteCurve(curve, monodromy(curve).fixed_point(),
+                               closed=True)

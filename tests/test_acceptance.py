@@ -8,7 +8,6 @@ away.
 import math
 
 import numpy as np
-import pytest
 
 from evolutes import preset, preset_names
 from evolutes.curves import ExprCurve, FrenetODECurve

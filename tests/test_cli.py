@@ -163,6 +163,19 @@ def test_pseudo_evolute_svg_branches(tmp_path):
     assert text.count("<path ") == 16
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the seam root of a closed curve is reported once, at a, so the last "
+    "grid point b escapes to infinity; kept until the figures reference "
+    "is re-recorded"))
+@pytest.mark.parametrize("name", ["torus-knot", "fig8"])
+def test_closed_pseudo_evolute_is_bounded_at_the_seam(name, tmp_path):
+    # the largest |coordinate| away from the seam is 20.1 on the knot and
+    # 7.6 on the figure-eight
+    out = tmp_path / "p.csv"
+    assert entry(["pseudo-evolute", "--preset", name, "--out", str(out)]) == 0
+    assert np.max(np.abs(_csv(out)[:, 1:4])) <= 1e3
+
+
 def test_developable_obj(tmp_path):
     out = tmp_path / "d.obj"
     assert entry(["developable", "--preset", "torus-knot", "--kind",
@@ -202,6 +215,21 @@ def test_involute_failure_names_the_parameter(tmp_path, capsys):
                   "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "failed on [0.5, 2] at t≈0.59" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, check", [
+    (["--preset", "cusp-curve"], "curve has a cusp at t≈0"),
+    (["--expr", "t,2*t,3*t"], "curvature vanishes at t≈0"),
+])
+def test_involute_refuses_a_degenerate_start(source, check, tmp_path, capsys):
+    # --point is read in the frame (T, N) at the start of the range, which
+    # a cusp or a vanishing curvature there leaves undefined
+    out = tmp_path / "inv.csv"
+    assert entry(["involute", *source, "--range", "0:1", "--point", "0.5:0.2",
+                  "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "degenerate geometry" in err and check in err
     assert not out.exists()
 
 

@@ -8,16 +8,12 @@ osculating sphere as the points coalesce.
 import math
 
 import numpy as np
-import pytest
 
-from evolutes import preset
-from evolutes.curves import ExprCurve
 from evolutes.evolute import (EvoluteCurve, conformal_torsion,
                               evolute_curvature_torsion, evolute_cusps,
-                              evolute_escapes, evolute_point,
-                              interior_sign, osculating_circle,
-                              osculating_circles_disjoint, osculating_sphere,
-                              second_evolute_residual)
+                              evolute_escapes, interior_sign,
+                              osculating_circle, osculating_circles_disjoint,
+                              osculating_sphere, second_evolute_residual)
 from evolutes.frenet import FrenetEval
 from evolutes.taylor import arclength_derivative, jet_mul
 

@@ -1,6 +1,5 @@
 """File writers: round-trip precision, determinism, atomicity."""
 import io
-import os
 
 import numpy as np
 import pytest

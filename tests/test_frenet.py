@@ -13,8 +13,8 @@ import sympy as sp
 from evolutes import preset
 from evolutes.curves import ExprCurve
 from evolutes.errors import CuspPoint, DegenerateCurvature
-from evolutes.frenet import (FrenetEval, frenet_at,
-                             indicatrix_geodesic_curvature, is_congruent,
+from evolutes.frenet import (FrenetEval, indicatrix_geodesic_curvature,
+                             is_congruent, regular_eval, sigma_values,
                              total_absolute_torsion, total_curvature,
                              total_torsion)
 
@@ -83,17 +83,17 @@ def test_frame_derivative_rows():
 def test_frenet_at_reports_degeneracies():
     cusp = __import__("evolutes").preset("cusp-curve")
     with pytest.raises(CuspPoint):
-        frenet_at(cusp, 0.0)
+        regular_eval(cusp, 0.0, order=4)
     from evolutes.curves import ExprCurve
     line = ExprCurve("t, 2*t, 3*t", (0.0, 1.0))
     with pytest.raises(DegenerateCurvature):
-        frenet_at(line, 0.5)
+        regular_eval(line, 0.5, order=4)
 
 
 def test_sigma_undefined_where_torsion_vanishes(fig8):
-    state = frenet_at(fig8, math.pi / 4.0)
-    assert abs(state.torsion) < 1e-12
-    assert math.isnan(state.sigma)
+    t = math.pi / 4.0
+    assert abs(regular_eval(fig8, t, order=4).tau[0, 0]) < 1e-12
+    assert math.isnan(sigma_values(fig8, t)[0])
 
 
 def test_totals_on_helix(helix):

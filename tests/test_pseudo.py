@@ -5,14 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from evolutes import preset
 from evolutes.errors import InfinityEscape, LineThroughEdge
 from evolutes.frenet import FrenetEval
 from evolutes.pseudo import (PseudoEvoluteCurve, PseudoInvoluteCurve,
                              geodesic_residual, is_cylindrical,
                              pseudo_cusps, pseudo_escapes,
-                             pseudo_evolute_point, pseudo_evolute_points,
-                             pseudo_involute)
+                             pseudo_evolute_point, pseudo_evolute_points)
 
 
 def test_cusp_curve_rational_values(cusp_curve):
@@ -90,7 +88,7 @@ def test_pseudo_evolute_of_involute_is_the_base(helix):
 
 def test_involute_constructor_warns_when_line_meets_edge(helix):
     with pytest.warns(LineThroughEdge):
-        pseudo_involute(helix, (0.0, 0.0), (1.0, 0.0))
+        PseudoInvoluteCurve(helix, (0.0, 0.0), (1.0, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pseudo_involute(helix, (0.0, 10.0), (1.0, 0.0))
+        PseudoInvoluteCurve(helix, (0.0, 10.0), (1.0, 0.0))

@@ -1,8 +1,6 @@
 """Structured curve reports."""
 import json
 
-import numpy as np
-
 from evolutes.exporters import render_json
 from evolutes.quadrature import CumulativeIntegral
 from evolutes.report import curve_report, identity_residuals

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from evolutes import preset
-from evolutes.curves import ExprCurve
 from evolutes.errors import (IdentityMonodromy, NotClosed, PureTranslation)
 from evolutes.evolute import EvoluteCurve
 from evolutes.frenet import ArclengthMap, FrenetEval, total_curvature
 from evolutes.rolling import (Development, PlanarIsometry, TracedInvoluteCurve,
-                              closed_involute, monodromy, trace_involute)
+                              closed_involute, monodromy)
 
 
 def test_development_preserves_length_and_curvature(knot):
@@ -83,9 +82,7 @@ def test_degenerate_isometries():
 
 
 def test_traced_point_stays_on_osculating_plane(knot):
-    fe = FrenetEval(knot, knot.domain[0], order=3)
-    start = fe.x[0, 0] + 0.7 * fe.T[0, 0] - 0.4 * fe.N[0, 0]
-    inv = trace_involute(knot, start)
+    inv = TracedInvoluteCurve(knot, (0.7, -0.4))
     ts = np.linspace(*knot.domain, 41)
     rel = inv.point(ts) - knot.point(ts)
     fe = FrenetEval(knot, ts, order=2)
@@ -93,18 +90,9 @@ def test_traced_point_stays_on_osculating_plane(knot):
                                atol=1e-8)
 
 
-def test_trace_involute_rejects_off_plane_start(knot):
-    fe = FrenetEval(knot, knot.domain[0], order=3)
-    start = fe.x[0, 0] + 0.5 * fe.B[0, 0]
-    with pytest.raises(ValueError):
-        trace_involute(knot, start)
-
-
 def test_two_traced_involutes_stay_equidistant(knot):
-    fe = FrenetEval(knot, knot.domain[0], order=3)
-    s1 = fe.x[0, 0] + 0.7 * fe.T[0, 0]
-    s2 = fe.x[0, 0] - 0.2 * fe.T[0, 0] + 0.5 * fe.N[0, 0]
-    i1, i2 = trace_involute(knot, s1), trace_involute(knot, s2)
+    i1 = TracedInvoluteCurve(knot, (0.7, 0.0))
+    i2 = TracedInvoluteCurve(knot, (-0.2, 0.5))
     ts = np.linspace(*knot.domain, 23)
     gaps = np.linalg.norm(i1.point(ts) - i2.point(ts), axis=-1)
     np.testing.assert_allclose(gaps, gaps[0], atol=1e-8)
@@ -122,9 +110,7 @@ def test_closed_involute_closes_and_inverts_the_evolute(knot):
 
 
 def test_sphere_evolute_of_any_trace_is_the_base(helix):
-    fe = FrenetEval(helix, helix.domain[0], order=3)
-    start = fe.x[0, 0] + 1.3 * fe.T[0, 0] + 0.4 * fe.N[0, 0]
-    traced = trace_involute(helix, start)
+    traced = TracedInvoluteCurve(helix, (1.3, 0.4))
     ts = np.linspace(0.4, 5.8, 11)
     np.testing.assert_allclose(EvoluteCurve(traced).point(ts), helix.point(ts),
                                atol=1e-7)
@@ -150,8 +136,7 @@ def test_closed_involute_reads_its_base_curve_from_a_table(monkeypatch):
 def test_involute_field_matches_the_direct_formula(name):
     # w x (P - x) with w = det(x', x'', x''') / |x' x x''|^2 x'
     curve = preset(name)
-    fe = FrenetEval(curve, curve.domain[0], order=3)
-    inv = trace_involute(curve, fe.x[0, 0] + 0.5 * fe.T[0, 0])
+    inv = TracedInvoluteCurve(curve, (0.5, 0.0))
     rng = np.random.default_rng(7)
     ts = rng.uniform(*curve.domain, 1000)
     P = rng.uniform(-3.0, 3.0, (1000, 3))
