@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -58,6 +58,8 @@ class RunConfig:
                 raise ValueError("--range must satisfy a < b")
             if not np.isfinite(b - a):
                 raise ValueError("--range bounds and width must be finite")
+        if self.point is not None and not np.isfinite(self.point).all():
+            raise ValueError("--point coordinates must be finite")
 
 
 def build_curve(cfg: RunConfig) -> Curve:
@@ -231,7 +233,9 @@ def _extent(text: str):
     return float(text)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     source = common.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=preset_names())

@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
+from . import dop853
 from . import expr as ex
-from .errors import IntegrationFailure
 
 __all__ = ["Curve", "ExprCurve", "IntegratedCurve", "FrenetODECurve",
            "branch_grids", "EPS_K", "EPS_TAU", "MIN_SPEED", "CUSP_GAP",
@@ -113,37 +113,16 @@ class ExprCurve(Curve):
 
 class IntegratedCurve(Curve):
     """A curve whose state is integrated once with DOP853 (rtol = atol =
-    1e-11) over the domain; the dense-output segments are kept for
+    1e-11) over the domain; the dense output of every step is kept for
     evaluation anywhere in it."""
 
     def _integrate(self, fun, y0, what: str, project=None):
         """project(y), if given, corrects each accepted state in place."""
-        from scipy.integrate import DOP853
-
-        a, b = self.domain
-        solver = DOP853(fun, a, y0, b, rtol=1e-11, atol=1e-11)
-        self._segments, ends = [], []
-        while solver.status == "running":
-            if solver.step() is not None or solver.status == "failed":
-                raise IntegrationFailure(
-                    f"{what} integration failed near t={solver.t:.9g}")
-            self._segments.append(solver.dense_output())
-            ends.append(solver.t)
-            if project is not None:
-                project(solver.y)
-                # DOP853 reuses the stored derivative as its next stage
-                solver.f = solver.fun(solver.t, solver.y)
-        self._ends = np.asarray(ends)
-        self._dim = len(y0)
+        self._segments = dop853.integrate(fun, y0, *self.domain, what,
+                                          project)
 
     def _state(self, t: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(self._ends, t, side="left"),
-                      0, len(self._segments) - 1)
-        out = np.empty((len(t), self._dim))
-        for j in np.unique(idx):
-            mask = idx == j
-            out[mask] = self._segments[j](t[mask]).T
-        return out
+        return self._segments(t)
 
 
 def _reorthonormalize(y):

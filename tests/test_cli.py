@@ -67,10 +67,15 @@ def test_cylindrical_pseudo_evolute_exits_3(capsys):
     ["frenet", "--preset", "helix", "--range=0:inf"],
     ["frenet", "--preset", "helix", "--range=-1e308:1e308"],
     ["frenet", "--preset", "helix", "--tol", "1e-3"],   # option retired
+    ["involute", "--preset", "helix", "--point", "nan:0"],
+    ["involute", "--preset", "helix", "--point", "inf:0"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert entry(argv) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    if "--point" in argv:
+        assert "--point coordinates must be finite" in err
 
 
 @pytest.mark.parametrize("argv, check", [
@@ -81,6 +86,9 @@ def test_usage_errors_exit_2(argv, capsys):
     (["monge-evolute", "--expr", "cos(t),sin(t),0"], "k cos(alpha) is constant"),
     # exp(t)^1000 overflows past t = 0.709
     (["frenet", "--expr", "exp(t)^1000,t,t^2"], "curve point is not finite at t≈0.7"),
+    # finite, but the error norm overflows and rejects every step
+    (["involute", "--preset", "helix", "--point", "1e300:0"],
+     "involute integration failed at t≈"),
 ])
 def test_degenerate_curves_exit_3(argv, check, tmp_path, capsys):
     out = tmp_path / "deg.csv"
@@ -271,14 +279,19 @@ def test_cli_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_evolute_does_not_import_scipy(tmp_path):
-    # scipy.integrate is imported by the ODE curves only, when they are
-    # built; a fresh process that runs no ODE must not pay for it
+@pytest.mark.parametrize("argv", [
+    pytest.param(["evolute", "--preset", "helix"], id="evolute-preset"),
+    pytest.param(["evolute", "--ktau", "1/sqrt(t);1/sqrt(t)",
+                  "--range", "1:16"], id="evolute-ktau"),
+    pytest.param(["involute", "--preset", "torus-knot"], id="involute-closed"),
+])
+def test_no_command_imports_scipy(argv, tmp_path):
+    # the package integrates its ODEs with its own DOP853, so a fresh
+    # process never pays for importing scipy
     script = (
         "import sys\n"
         "from evolutes.cli import entry\n"
-        f"code = entry(['evolute', '--preset', 'helix', '--out', "
-        f"{str(tmp_path / 'e.csv')!r}])\n"
+        f"code = entry({argv + ['--out', str(tmp_path / 'out.csv')]!r})\n"
         "print(code, [m for m in sys.modules if m.startswith('scipy')])\n")
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
