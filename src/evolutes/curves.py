@@ -20,7 +20,7 @@ import numpy as np
 from . import dop853
 from . import expr as ex
 
-__all__ = ["Curve", "ExprCurve", "IntegratedCurve", "FrenetODECurve",
+__all__ = ["Curve", "ExprCurve", "FrenetODECurve",
            "branch_grids", "EPS_K", "EPS_TAU", "MIN_SPEED", "CUSP_GAP",
            "SPHERICAL_SIGMA", "SIGMA_CLEARANCE", "CONSTANT_SPREAD",
            "EDGE_DET", "EDGE_NOISE"]
@@ -111,20 +111,6 @@ class ExprCurve(Curve):
         return f"ExprCurve({parts!r}, domain={self.domain})"
 
 
-class IntegratedCurve(Curve):
-    """A curve whose state is integrated once with DOP853 (rtol = atol =
-    1e-11) over the domain; the dense output of every step is kept for
-    evaluation anywhere in it."""
-
-    def _integrate(self, fun, y0, what: str, project=None):
-        """project(y), if given, corrects each accepted state in place."""
-        self._segments = dop853.integrate(fun, y0, *self.domain, what,
-                                          project)
-
-    def _state(self, t: np.ndarray) -> np.ndarray:
-        return self._segments(t)
-
-
 def _reorthonormalize(y):
     """Put the frame (T, N, B) of the state y back onto SO(3), in place."""
     T = y[3:6] / np.linalg.norm(y[3:6])
@@ -133,7 +119,7 @@ def _reorthonormalize(y):
     y[3:6], y[6:9], y[9:12] = T, N, np.cross(T, N)
 
 
-class FrenetODECurve(IntegratedCurve):
+class FrenetODECurve(Curve):
     """Unit-speed open curve built from curvature and torsion expressions.
 
     It starts at the origin with the standard basis as its frame (T, N, B).
@@ -149,7 +135,8 @@ class FrenetODECurve(IntegratedCurve):
         self.k_expr = ex.parse(curvature) if isinstance(curvature, str) else curvature
         self.tau_expr = ex.parse(torsion) if isinstance(torsion, str) else torsion
         y0 = np.concatenate([np.zeros(3), np.eye(3).ravel()])
-        self._integrate(self._rhs, y0, "frame", project=_reorthonormalize)
+        self._segments = dop853.integrate(self._rhs, y0, *self.domain, "frame",
+                                          _reorthonormalize)
 
     def _rhs(self, t, y):
         k = ex.evaluate(self.k_expr, t)
@@ -160,7 +147,7 @@ class FrenetODECurve(IntegratedCurve):
     def derivatives(self, t, order: int) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         a, b = self.domain
-        state = self._state(np.clip(t, a, b))
+        state = self._segments(np.clip(t, a, b))
         n = len(t)
         depth = max(order, 1)
         T = np.empty((depth, n, 3))

@@ -27,8 +27,7 @@ __all__ = [
     "evolute_cusps", "evolute_escapes",
     "osculating_sphere", "osculating_circle",
     "evolute_curvature_torsion", "interior_sign", "conformal_torsion",
-    "second_evolute_residual", "osculating_circle_avoids_plane",
-    "osculating_circles_disjoint",
+    "second_evolute_residual", "osculating_circles_disjoint",
 ]
 
 
@@ -149,43 +148,42 @@ def second_evolute_residual(curve: Curve, ts) -> np.ndarray:
     return first + second
 
 
-def osculating_circle_avoids_plane(curve: Curve, t0: float, t1: float) -> bool:
-    """True when the osculating circle at t0 misses the osculating plane at t1.
+def osculating_circles_disjoint(curve: Curve, t0, delta: float):
+    """True where the osculating circle at t0 misses the osculating planes
+    at t0 +- delta; t0 is an array of parameters or one, which gives a bool.
 
-    The circle lies in the osculating plane at t0; it meets the plane at t1
-    only if it meets the intersection line of the two planes, so the test
-    compares the in-plane distance from the circle center to that line with
-    the circle radius.  Parallel distinct planes trivially miss.
+    The circle lies in the osculating plane at t0; it meets the plane at a
+    neighbour t1 only if it meets the intersection line of the two planes,
+    so the test compares the in-plane distance from the circle center to
+    that line with the circle radius.  Parallel distinct planes trivially
+    miss.  Neighbours outside the domain are ignored (wrapped first for
+    closed curves).  delta = 0 degenerates to the same plane and counts as
+    true.  A t0 without a circle raises as in regular_eval.
     """
-    center, radius, n0 = osculating_circle(curve, t0)
-    fe1 = FrenetEval(curve, t1, order=2)
-    n1 = fe1.B[0, 0]
-    p0, p1 = curve.point(t0), curve.point(t1)
-    direction = np.cross(n0, n1)
-    norm2 = float(direction @ direction)
-    if norm2 <= 1e-24:
-        return True
-    line_point = ((p0 @ n0) * np.cross(n1, direction)
-                  + (p1 @ n1) * np.cross(direction, n0)) / norm2
-    offset = center - line_point
-    offset -= (offset @ direction) / norm2 * direction
-    return float(np.linalg.norm(offset)) > radius
-
-
-def osculating_circles_disjoint(curve: Curve, t0: float, delta: float) -> bool:
-    """True when the circle at t0 misses the osculating planes at t0 +- delta.
-
-    Neighbours outside the domain are ignored (wrapped first for closed
-    curves).  delta = 0 degenerates to the same plane and counts as true.
-    """
-    if delta == 0.0:
-        return True
-    a, b = curve.domain
-    for t1 in (t0 - delta, t0 + delta):
+    scalar = np.ndim(t0) == 0
+    t0 = np.atleast_1d(np.asarray(t0, dtype=float))
+    disjoint = np.ones(len(t0), dtype=bool)
+    if delta != 0.0:
+        a, b = curve.domain
+        fe0 = regular_eval(curve, t0, order=2)
+        t1 = np.stack([t0 - delta, t0 + delta])
         if curve.closed:
             t1 = a + (t1 - a) % (b - a)
-        elif not a <= t1 <= b:
-            continue
-        if not osculating_circle_avoids_plane(curve, t0, t1):
-            return False
-    return True
+        fe1 = FrenetEval(curve, np.clip(t1, a, b).ravel(), order=2)
+        p0, n0, k = fe0.x[0], fe0.B[0], fe0.k[0]
+        p1, n1 = (x.reshape(2, len(t0), 3) for x in (fe1.x[0], fe1.B[0]))
+        center = p0 + fe0.N[0] / k[:, None]
+        direction = np.cross(n0, n1)
+        norm2 = np.sum(direction * direction, axis=-1, keepdims=True)
+        with np.errstate(all="ignore"):
+            line_point = (np.sum(p0 * n0, axis=-1, keepdims=True)
+                          * np.cross(n1, direction)
+                          + np.sum(p1 * n1, axis=-1, keepdims=True)
+                          * np.cross(direction, n0)) / norm2
+            offset = center - line_point
+            offset -= (np.sum(offset * direction, axis=-1, keepdims=True)
+                       / norm2 * direction)
+            misses = np.linalg.norm(offset, axis=-1) > 1.0 / k
+        misses |= (norm2[..., 0] <= 1e-24) | (t1 < a) | (t1 > b)
+        disjoint = misses.all(axis=0)
+    return bool(disjoint[0]) if scalar else disjoint

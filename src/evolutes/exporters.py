@@ -19,9 +19,19 @@ __all__ = [
 ]
 
 
-def _fmt(value) -> str:
-    # repr of a Python float is the shortest string that round-trips
-    return repr(float(value))
+# rows per tolist() in _rows: one list of a whole 65536-row table costs
+# about 14 MB of peak RSS, and a chunk this size is as fast
+_CHUNK = 4096
+
+
+def _rows(table, sep: str, prefix: str = "") -> list:
+    """One line per row of a 2-D array: prefix, then its numbers joined by
+    sep.  repr of a Python float is the shortest string that round-trips."""
+    lines = []
+    for start in range(0, len(table), _CHUNK):
+        lines += [prefix + sep.join(map(repr, row))
+                  for row in table[start:start + _CHUNK].tolist()]
+    return lines
 
 
 def atomic_write(path, text: str) -> None:
@@ -46,12 +56,10 @@ def render_csv(ts, points, extras=None) -> str:
     ts = np.asarray(ts, dtype=float)
     points = np.asarray(points, dtype=float).reshape(len(ts), 3)
     extras = list(extras or ())
-    lines = ["t,x,y,z" + "".join("," + name for name, _ in extras)]
-    columns = [ts, points[:, 0], points[:, 1], points[:, 2]]
-    columns += [np.asarray(vals, dtype=float) for _, vals in extras]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    header = "t,x,y,z" + "".join("," + name for name, _ in extras)
+    table = np.column_stack(
+        [ts, points] + [np.asarray(vals, dtype=float) for _, vals in extras])
+    return "\n".join([header] + _rows(table, ",")) + "\n"
 
 
 def render_obj(patch) -> str:
@@ -63,14 +71,11 @@ def render_obj(patch) -> str:
     """
     grid = np.asarray(patch.vertices, dtype=float)
     n, m = grid.shape[0], grid.shape[1]
-    lines = [f"# ruled patch {n} rulings x {m} samples"]
-    for vertex in grid.reshape(-1, 3):
-        lines.append("v " + " ".join(_fmt(c) for c in vertex))
-    for i in range(n - 1):
-        for j in range(m - 1):
-            a = i * m + j + 1
-            b = (i + 1) * m + j + 1
-            lines.append(f"f {a} {b} {b + 1} {a + 1}")
+    index = np.arange(1, n * m + 1).reshape(n, m)
+    a, b = index[:-1, :-1], index[1:, :-1]
+    faces = np.stack([a, b, b + 1, a + 1], axis=-1).reshape(-1, 4)
+    lines = ([f"# ruled patch {n} rulings x {m} samples"]
+             + _rows(grid.reshape(-1, 3), " ", "v ") + _rows(faces, " ", "f "))
     return "\n".join(lines) + "\n"
 
 
@@ -89,17 +94,16 @@ def render_svg(branches, scale: float = 100.0, pad: float = 10.0) -> str:
         hi = np.max([b.max(axis=0) for b in drawn], axis=0)
     else:
         lo = hi = np.zeros(2)
-    width = (hi[0] - lo[0]) * scale + 2 * pad
-    height = (hi[1] - lo[1]) * scale + 2 * pad
+    width, height = ((hi - lo) * scale + 2 * pad).tolist()
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width!r}" '
+        f'height="{height!r}" viewBox="0 0 {width!r} {height!r}">',
     ]
     for branch in drawn:
         xs = (branch[:, 0] - lo[0]) * scale + pad
         ys = (hi[1] - branch[:, 1]) * scale + pad
-        steps = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xs, ys))
+        steps = " L ".join(_rows(np.column_stack([xs, ys]), " "))
         lines.append(f'  <path d="M {steps}" fill="none" stroke="black" '
                      'stroke-width="1.5"/>')
     lines.append("</svg>")

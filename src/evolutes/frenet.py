@@ -136,16 +136,23 @@ class FrenetEval:
             arclength_derivative(self.rr, self.v)))
 
 
-def regular_eval(curve: Curve, t: float, order: int) -> FrenetEval:
-    """FrenetEval at the single parameter t; raises CuspPoint on a declared
-    cusp or where the speed vanishes, DegenerateCurvature where k does."""
-    for c in curve.cusps:
-        if abs(t - c) <= CUSP_GAP:
-            raise CuspPoint("curve has a cusp", t=t)
+def regular_eval(curve: Curve, t, order: int) -> FrenetEval:
+    """FrenetEval at the parameters t, which raises at the first irregular
+    one: CuspPoint on a declared cusp or where the speed vanishes, then
+    DegenerateCurvature where k does."""
     fe = FrenetEval(curve, t, order=order)
-    if not fe.v[0, 0] > MIN_SPEED:
-        raise CuspPoint("speed vanishes", t=t)
-    if not fe.k[0, 0] > EPS_K:
+    cusps = np.asarray(curve.cusps, dtype=float)
+    on_cusp = (np.abs(fe.t[:, None] - cusps) <= CUSP_GAP).any(axis=1)
+    stalled = ~(fe.v[0] > MIN_SPEED)
+    flat = ~(fe.k[0] > EPS_K)
+    bad = np.flatnonzero(on_cusp | stalled | flat)
+    if bad.size:
+        i = bad[0]
+        t = float(fe.t[i])
+        if on_cusp[i]:
+            raise CuspPoint("curve has a cusp", t=t)
+        if stalled[i]:
+            raise CuspPoint("speed vanishes", t=t)
         raise DegenerateCurvature("curvature vanishes", t=t)
     return fe
 

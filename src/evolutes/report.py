@@ -111,10 +111,9 @@ def monodromy_block(curve: Curve,
 def _circles_block(curve: Curve, delta: float) -> dict:
     a, b = curve.domain
     probes = np.linspace(a, b, 32, endpoint=False)[1:]
-    flags = [osculating_circles_disjoint(curve, float(t0), delta)
-             for t0 in probes]
+    flags = osculating_circles_disjoint(curve, probes, delta)
     return {"delta": float(delta), "checked": len(flags),
-            "all_disjoint": bool(all(flags))}
+            "all_disjoint": bool(flags.all())}
 
 
 def curve_report(curve: Curve, samples: int = 1024,

@@ -35,7 +35,8 @@ from functools import partial
 
 import numpy as np
 
-from .curves import Curve, IntegratedCurve
+from . import dop853
+from .curves import Curve
 from .errors import IdentityMonodromy, NotClosed, PureTranslation
 from .frenet import ArclengthMap, FrenetEval, regular_eval
 from .quadrature import CumulativeIntegral, PanelInterpolant
@@ -121,15 +122,16 @@ def monodromy(curve: Curve, development: Development | None = None) -> PlanarIso
     """Isometry taking the initial contact element (point and heading angle)
     of the development to the terminal one; defined for closed curves."""
     a, b = curve.domain
-    gap = np.linalg.norm(curve.point(a) - curve.point(b))
-    scale = max(1.0, float(np.linalg.norm(curve.point(a))))
+    start, end = curve.point(np.array([a, b]))
+    gap = np.linalg.norm(start - end)
+    scale = max(1.0, float(np.linalg.norm(start)))
     if not curve.closed or gap > 1e-8 * scale:
         raise NotClosed(f"curve endpoints differ by {gap:.3g}")
     dev = development if development is not None else Development(curve)
     return PlanarIsometry(angle=float(dev.angle(b)), shift=dev.point(b))
 
 
-class TracedInvoluteCurve(IntegratedCurve):
+class TracedInvoluteCurve(Curve):
     """Trajectory of one rolling-plane point: an involute of the base curve.
 
     ``plane_point`` is (x, y) in the initial frame (T, N) at the start a
@@ -165,7 +167,8 @@ class TracedInvoluteCurve(IntegratedCurve):
         start = fe.x[0, 0] + x * fe.T[0, 0] + y * fe.N[0, 0]
         self._rolling = PanelInterpolant(partial(_axis_and_foot, base),
                                          *base.domain)
-        self._integrate(self._field, start, "involute")
+        self._segments = dop853.integrate(self._field, start, *self.domain,
+                                          "involute")
 
     def _field(self, t, P):
         (w0, w1, w2), (x0, x1, x2) = self._rolling.at(t).tolist()
@@ -180,7 +183,7 @@ class TracedInvoluteCurve(IntegratedCurve):
         fe = FrenetEval(self.base, np.clip(t, a, b), order=max(order, 1) + 2)
         w = jet_mul(fe.tau, fe.d1)
         out = np.empty((order + 1, len(t), 3))
-        out[0] = self._state(np.clip(t, a, b))
+        out[0] = self._segments(np.clip(t, a, b))
         for m in range(order):
             acc = np.zeros((len(t), 3))
             for j in range(m + 1):

@@ -44,7 +44,7 @@ def test_steps_and_states_match_scipy(build):
     t = np.linspace(a, b, 1000)
     j = np.searchsorted(ends, t, side="left")
     want = np.array([segments[i](x) for i, x in zip(j, t)])
-    got = curve._state(t)
+    got = curve._segments(t)
     np.testing.assert_allclose(got, want, rtol=1e-15,
                                atol=1e-15 * np.abs(want).max())
 

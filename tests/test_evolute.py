@@ -8,7 +8,11 @@ osculating sphere as the points coalesce.
 import math
 
 import numpy as np
+import pytest
 
+from evolutes import preset
+from evolutes.curves import ExprCurve
+from evolutes.errors import CuspPoint
 from evolutes.evolute import (EvoluteCurve, conformal_torsion,
                               evolute_curvature_torsion, evolute_cusps,
                               evolute_escapes, interior_sign,
@@ -153,3 +157,77 @@ def test_nearby_osculating_circles_are_disjoint(knot, helix):
         for t0 in np.linspace(a + 0.1, b - 0.1, 12):
             assert osculating_circles_disjoint(curve, float(t0), delta)
         assert osculating_circles_disjoint(curve, 1.0, 0.0)
+
+
+def _frame(curve, ts):
+    """Point, T, N, B and k at ts, straight from the raw derivatives."""
+    x = curve.derivatives(ts, 2)
+    speed = np.linalg.norm(x[1], axis=-1)
+    c = np.cross(x[1], x[2])
+    T = x[1] / speed[:, None]
+    B = c / np.linalg.norm(c, axis=-1)[:, None]
+    return x[0], T, np.cross(B, T), B, np.linalg.norm(c, axis=-1) / speed**3
+
+
+def _sampled_circles_disjoint(curve, t0, delta):
+    # 4096 points of each circle; it misses a neighbour's osculating plane
+    # when their signed distances to that plane share one sign
+    a, b = curve.domain
+    p, T, N, _, k = _frame(curve, t0)
+    r = (1.0 / k)[:, None, None]
+    theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)[:, None]
+    circle = (p[:, None] + r * N[:, None]
+              + r * (np.cos(theta) * T[:, None] + np.sin(theta) * N[:, None]))
+    out = np.ones(len(t0), dtype=bool)
+    for t1 in (t0 - delta, t0 + delta):
+        if curve.closed:
+            t1 = a + (t1 - a) % (b - a)
+        q, _, _, n1, _ = _frame(curve, np.clip(t1, a, b))
+        side = np.einsum("ijk,ik->ij", circle - q[:, None], n1)
+        out &= ((side > 0).all(axis=1) | (side < 0).all(axis=1)
+                | (t1 < a) | (t1 > b))
+    return out
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.3, 1.0])
+@pytest.mark.parametrize("name", ["torus-knot", "helix", "elliptical-helix"])
+def test_circle_check_agrees_with_sampled_circles(name, delta):
+    # the knot is closed and wraps at both ends; the helices are open, so
+    # neighbours of their end probes fall outside the domain
+    curve = preset(name)
+    t0 = np.linspace(*curve.domain, 40)
+    got = osculating_circles_disjoint(curve, t0, delta)
+    np.testing.assert_array_equal(
+        got, _sampled_circles_disjoint(curve, t0, delta))
+    if delta == 1.0 and name != "helix":
+        assert 0 < np.count_nonzero(got) < len(t0)
+
+
+def test_neighbours_past_the_ends_wrap_or_drop(knot):
+    # probes within delta of the ends: the closed knot wraps their outer
+    # neighbours round, an open copy of it ignores them
+    open_knot = ExprCurve(knot.components, knot.domain)
+    a, b = knot.domain
+    t0 = np.concatenate([np.linspace(a, a + 1.0, 20),
+                         np.linspace(b - 1.0, b, 20)])
+    flags = []
+    for curve in (knot, open_knot):
+        flags.append(osculating_circles_disjoint(curve, t0, 1.0))
+        np.testing.assert_array_equal(
+            flags[-1], _sampled_circles_disjoint(curve, t0, 1.0))
+    assert np.any(flags[0] != flags[1])
+
+
+def test_circle_check_of_one_parameter_is_a_bool(knot):
+    flags = osculating_circles_disjoint(knot, np.linspace(0.0, 6.0, 7), 1.0)
+    for t0, flag in zip(np.linspace(0.0, 6.0, 7), flags):
+        got = osculating_circles_disjoint(knot, float(t0), 1.0)
+        assert type(got) is bool and got == flag
+    assert osculating_circles_disjoint(knot, 1.0, 0.0) is True
+
+
+def test_circle_check_raises_at_a_declared_cusp(cusp_curve):
+    with pytest.raises(CuspPoint, match="curve has a cusp") as err:
+        osculating_circles_disjoint(cusp_curve, np.array([-0.5, 0.0, 0.5]),
+                                    0.01)
+    assert err.value.t == 0.0

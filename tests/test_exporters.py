@@ -1,5 +1,7 @@
 """File writers: round-trip precision, determinism, atomicity."""
 import io
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +48,59 @@ def test_obj_single_ruling_has_no_faces(helix):
     text = render_obj(patch)
     assert text.count("\nv ") + text.startswith("v ") == 2
     assert "f " not in text
+
+
+def test_obj_single_sample_per_ruling_has_no_faces():
+    text = render_obj(SimpleNamespace(vertices=np.ones((5, 1, 3))))
+    assert text.count("\nv ") == 5
+    assert "\nf " not in text
+
+
+# shortest round-trip reprs of every kind: infinities, nan, a negative zero,
+# the smallest subnormal and the largest float
+_SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324,
+            1.7976931348623157e308]
+
+
+def _layout(table, sep):
+    return [sep.join(repr(float(v)) for v in row) for row in table]
+
+
+def _table(rows, columns):
+    # rows past one tolist() chunk of 4096, special values at its seams
+    rng = np.random.default_rng(11)
+    table = (rng.standard_normal((rows, columns))
+             * 10.0 ** rng.uniform(-300.0, 300.0, (rows, columns)))
+    for i, row in enumerate([0, 4095, 4096, 8191, 8192, rows - 1]):
+        table[row] = np.roll(_SPECIAL, i)[:columns]
+    return table
+
+
+def test_rows_past_one_chunk_keep_a_per_number_layout():
+    table = _table(10_000, 6)
+    text = render_csv(table[:, 0], table[:, 1:4],
+                      extras=[("a", table[:, 4]), ("b", table[:, 5])])
+    assert text.split("\n")[1:-1] == _layout(table, ",")
+
+    grid = table.reshape(100, 200, 3)
+    lines = render_obj(SimpleNamespace(vertices=grid)).split("\n")
+    n, m = grid.shape[:2]
+    faces = [f"f {i * m + j + 1} {(i + 1) * m + j + 1} "
+             f"{(i + 1) * m + j + 2} {i * m + j + 2}"
+             for i in range(n - 1) for j in range(m - 1)]
+    assert lines[1:-1] == (["v " + ln for ln in _layout(grid.reshape(-1, 3),
+                                                         " ")] + faces)
+
+    # an SVG path holds finite numbers only: its bounding box is finite
+    rng = np.random.default_rng(12)
+    branch = (rng.standard_normal((10_000, 2))
+              * 10.0 ** rng.uniform(-20.0, 20.0, (10_000, 2)))
+    branch[[0, 4095, 4096, 9999], 0] = [-0.0, 5e-324, 0.0, -5e-324]
+    lo, hi = branch.min(axis=0), branch.max(axis=0)
+    xs = (branch[:, 0] - lo[0]) * 100.0 + 10.0
+    ys = (hi[1] - branch[:, 1]) * 100.0 + 10.0
+    path = render_svg([branch]).split('d="')[1].split('"')[0]
+    assert path == "M " + " L ".join(_layout(np.column_stack([xs, ys]), " "))
 
 
 def test_svg_one_path_per_branch():

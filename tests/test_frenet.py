@@ -90,6 +90,29 @@ def test_frenet_at_reports_degeneracies():
         regular_eval(line, 0.5, order=4)
 
 
+@pytest.mark.parametrize("components, cusps, ts, error, reason, t", [
+    # at t = 0 the speed vanishes and k is undefined; a declared cusp there
+    # is named first
+    ("t^2, t^3, t^4", (0.0,), [0.5, 0.0, -0.5], CuspPoint,
+     "curve has a cusp", 0.0),
+    ("t^2, t^3, t^4", (), [0.5, 0.0, -0.5], CuspPoint, "speed vanishes", 0.0),
+    # every parameter of a line is flat: the first one is named
+    ("t, 2*t, 3*t", (), [0.7, 0.2], DegenerateCurvature,
+     "curvature vanishes", 0.7),
+])
+def test_regular_eval_raises_at_the_first_irregular_parameter(
+        components, cusps, ts, error, reason, t):
+    curve = ExprCurve(components, (-1.0, 1.0), cusps=cusps)
+    with pytest.raises(error) as err:
+        regular_eval(curve, np.array(ts), order=2)
+    assert err.value.reason == reason and err.value.t == t
+
+
+def test_regular_eval_of_regular_parameters(cusp_curve):
+    fe = regular_eval(cusp_curve, np.array([-0.5, 0.5]), order=2)
+    assert fe.k.shape == (1, 2) and np.all(fe.k[0] > 0.0)
+
+
 def test_sigma_undefined_where_torsion_vanishes(fig8):
     t = math.pi / 4.0
     assert abs(regular_eval(fig8, t, order=4).tau[0, 0]) < 1e-12

@@ -1,9 +1,15 @@
 """Structured curve reports."""
 import json
 
+import numpy as np
+import pytest
+
+from evolutes import preset
+from evolutes.cli import entry
 from evolutes.exporters import render_json
 from evolutes.quadrature import CumulativeIntegral
-from evolutes.report import curve_report, identity_residuals
+from evolutes.report import (_circles_block, curve_report,
+                             identity_residuals)
 
 
 def test_identity_residuals_small_on_generic_curve(knot):
@@ -53,3 +59,32 @@ def test_closed_curve_report_builds_five_tables(knot, monkeypatch):
     monkeypatch.setattr(CumulativeIntegral, "__init__", counting)
     curve_report(knot)
     assert len(built) == 5
+
+
+def test_circle_block_evaluates_the_curve_twice(monkeypatch):
+    # one regular_eval over the 31 probes and one FrenetEval over their 62
+    # neighbours
+    knot = preset("torus-knot")
+    derivatives = knot.derivatives
+    calls = []
+
+    def counting(ts, order):
+        calls.append(np.size(ts))
+        return derivatives(ts, order)
+
+    monkeypatch.setattr(knot, "derivatives", counting)
+    block = _circles_block(knot, 0.01)
+    assert block == {"delta": 0.01, "checked": 31, "all_disjoint": True}
+    assert calls == [31, 62]
+
+
+@pytest.mark.parametrize("delta, block", [
+    ("0.01", {"error": "curve has a cusp at t≈0"}),
+    ("0", {"delta": 0.0, "checked": 31, "all_disjoint": True}),
+])
+def test_circle_block_on_a_cusped_curve(tmp_path, delta, block):
+    # a probe lands on the cusp at t = 0; delta = 0 evaluates nothing
+    out = tmp_path / "report.json"
+    assert entry(["report", "--preset", "cusp-curve", "--delta", delta,
+                  "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["osculating_circles"] == block
