@@ -2,7 +2,12 @@
 """Regenerate every figure-class artifact into ./outputs.
 
 Each entry drives the CLI exactly as a user would; the directory is wiped
-first so the run is reproducible byte for byte.
+first, so no file of an earlier run survives.  A fresh run need not match
+the tracked files byte for byte: their last bits move with the machine and
+with changes to the code.  tests/test_figures.py checks every number of a
+fresh run against ``outputs/`` at a relative tolerance of 1e-9, plus an
+absolute slack of 1e-12 times the file's largest number, and all other
+text for equality.
 """
 import pathlib
 import shutil

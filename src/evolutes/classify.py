@@ -7,8 +7,9 @@ EPS_TAU everywhere (a planar curve) sends it to infinity and |sigma| <=
 SPHERICAL_SIGMA everywhere (a spherical curve) collapses it to a point;
 constant tau/k (a cylindrical curve) sends the pseudo-evolute to infinity;
 constant k cos(alpha) (a circle, say) collapses the Monge evolute to a
-point.  Constant means a relative spread of at most CONSTANT_SPREAD.  Escapes and cusps are the roots found by each construction's own
-module.
+point.  Constant means a relative spread of at most CONSTANT_SPREAD.
+Escapes and cusps are the roots of one shared search per construction,
+made by its own module's ``*_singularities``.
 """
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ import numpy as np
 from .curves import CONSTANT_SPREAD, EPS_K, EPS_TAU, SPHERICAL_SIGMA, Curve
 from .errors import (DegenerateCurvature, GeometryError, InfinityEscape,
                      TorsionVanishes)
-from .evolute import EvoluteCurve, evolute_cusps, evolute_escapes
+from .evolute import EvoluteCurve, evolute_singularities
 from .frenet import FrenetEval
-from .monge import MongeEvoluteCurve, monge_escapes, monge_evolute_cusps
+from .monge import MongeEvoluteCurve, monge_singularities
 from .pseudo import (PseudoEvoluteCurve, is_constant, is_cylindrical,
-                     pseudo_cusps, pseudo_escapes)
+                     pseudo_singularities)
 
 __all__ = ["Verdict", "classify", "probe_grid"]
 
@@ -81,19 +82,17 @@ def classify(curve: Curve, construction: str, samples: int,
         sigma = fe.sigma[0][np.isfinite(fe.sigma[0])]
         if sigma.size and np.all(np.abs(sigma) <= SPHERICAL_SIGMA):
             return verdict(None, point, spherical=True, cuts=curve.cusps)
-        escapes = _floats(evolute_escapes(curve))
+        escapes, cusps = map(_floats, evolute_singularities(curve))
         if escapes:
             return verdict(TorsionVanishes("torsion vanishes", t=escapes[0]),
                            point, escapes=escapes)
-        cusps = _floats(evolute_cusps(curve))
     elif construction == "pseudo-evolute":
         point = PseudoEvoluteCurve(curve).point
         if is_cylindrical(curve):
             return verdict(InfinityEscape(
                 "tau/k is constant (cylindrical curve): the pseudo-evolute"
                 " escapes to infinity everywhere"), point, cylindrical=True)
-        escapes = _floats(pseudo_escapes(curve))
-        cusps = _floats(pseudo_cusps(curve))
+        escapes, cusps = map(_floats, pseudo_singularities(curve))
     elif construction == "monge-evolute":
         ev = MongeEvoluteCurve(curve, alpha0, closed=curve.closed)
         point = ev.point
@@ -102,8 +101,7 @@ def classify(curve: Curve, construction: str, samples: int,
                 "k cos(alpha) is constant (relative spread <= CONSTANT_SPREAD="
                 f"{CONSTANT_SPREAD:g}): the Monge evolute degenerates to a"
                 " point", t=t0), point)
-        cusps = _floats(monge_evolute_cusps(ev))
-        escapes = _floats(monge_escapes(ev))
+        escapes, cusps = map(_floats, monge_singularities(ev))
     else:
         raise ValueError(f"unknown construction {construction!r}")
     return verdict(None, point, escapes=escapes, cusps=cusps,

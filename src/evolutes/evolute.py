@@ -23,8 +23,7 @@ from .roots import find_roots
 from .taylor import (arclength_derivative, jet_div, jet_mul, jet_recip)
 
 __all__ = [
-    "evolute_point", "EvoluteCurve",
-    "evolute_cusps", "evolute_escapes",
+    "evolute_point", "EvoluteCurve", "evolute_singularities",
     "osculating_sphere", "osculating_circle",
     "evolute_curvature_torsion", "interior_sign", "conformal_torsion",
     "second_evolute_residual", "osculating_circles_disjoint",
@@ -67,20 +66,14 @@ class EvoluteCurve(Curve):
         return f"EvoluteCurve({self.base!r})"
 
 
-def evolute_cusps(curve: Curve) -> np.ndarray:
-    """Parameters where sigma vanishes (cusps of the evolute)."""
-    def sigma_fn(ts):
-        return FrenetEval(curve, ts, order=4).sigma[0]
+def evolute_singularities(curve: Curve) -> tuple:
+    """(escapes, cusps) of the evolute from one search: the zeros of the
+    torsion, where it diverges, and the zeros of sigma, its cusps."""
+    def scan(ts):
+        fe = FrenetEval(curve, ts, order=4)
+        return np.stack([fe.tau[0], fe.sigma[0]])
     a, b = curve.domain
-    return find_roots(sigma_fn, a, b, closed=curve.closed)
-
-
-def evolute_escapes(curve: Curve) -> np.ndarray:
-    """Parameters where the torsion vanishes and the evolute diverges."""
-    def tau_fn(ts):
-        return FrenetEval(curve, ts, order=3).tau[0]
-    a, b = curve.domain
-    return find_roots(tau_fn, a, b, closed=curve.closed)
+    return find_roots(scan, a, b, closed=curve.closed)
 
 
 def osculating_sphere(curve: Curve, t: float):

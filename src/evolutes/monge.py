@@ -33,8 +33,8 @@ from .taylor import (arclength_derivative, jet_div, jet_dot, jet_mul,
                      jet_sin_cos, jet_sqrt)
 
 __all__ = [
-    "MongeEvoluteCurve", "monge_evolute_point", "monge_evolute_cusps",
-    "monge_escapes", "monge_evolutes_closed", "MongeInvoluteCurve",
+    "MongeEvoluteCurve", "monge_evolute_point", "monge_singularities",
+    "monge_evolutes_closed", "MongeInvoluteCurve",
     "string_residual", "distance_identity_residual", "polar_line_residual",
     "offset_angles", "envelope_meetings", "signed_length",
 ]
@@ -79,26 +79,18 @@ def monge_evolute_point(evolute: MongeEvoluteCurve, t: float) -> np.ndarray:
     return evolute.derivatives(t, 0)[0, 0].copy()
 
 
-def _k_cos_alpha_rate(evolute: MongeEvoluteCurve, ts) -> np.ndarray:
-    fe = FrenetEval(evolute.base, ts, order=4)
-    alpha = evolute._alpha.jets(fe, np.atleast_1d(np.asarray(ts, float)), 3)
-    _, cos_j = jet_sin_cos(alpha)
-    with np.errstate(all="ignore"):
-        return arclength_derivative(jet_mul(fe.k, cos_j), fe.v)[0]
-
-
-def monge_evolute_cusps(evolute: MongeEvoluteCurve) -> np.ndarray:
-    """Cusp parameters: critical points of k cos(alpha)."""
+def monge_singularities(evolute: MongeEvoluteCurve) -> tuple:
+    """(escapes, cusps) of the Monge evolute from one search: the zeros of
+    cos(alpha), where it diverges, and the critical points of k cos(alpha),
+    its cusps."""
+    def scan(ts):
+        fe = FrenetEval(evolute.base, ts, order=4)
+        _, cos_j = jet_sin_cos(evolute._alpha.jets(fe, ts, 3))
+        with np.errstate(all="ignore"):
+            rate = arclength_derivative(jet_mul(fe.k, cos_j), fe.v)
+        return np.stack([cos_j[0], rate[0]])
     a, b = evolute.base.domain
-    return find_roots(lambda ts: _k_cos_alpha_rate(evolute, ts),
-                      a, b, closed=evolute.base.closed)
-
-
-def monge_escapes(evolute: MongeEvoluteCurve) -> np.ndarray:
-    """Parameters where cos(alpha) vanishes and the evolute diverges."""
-    a, b = evolute.base.domain
-    return find_roots(lambda ts: np.cos(evolute.alpha(np.atleast_1d(ts))),
-                      a, b, closed=evolute.base.closed)
+    return find_roots(scan, a, b, closed=evolute.base.closed)
 
 
 def monge_evolutes_closed(curve: Curve, torsion: float | None = None) -> bool:

@@ -40,7 +40,7 @@ from .taylor import arclength_derivative, jet_div, jet_mul, jet_sin_cos
 
 __all__ = [
     "pseudo_evolute_point", "pseudo_evolute_points", "PseudoEvoluteCurve",
-    "pseudo_escapes", "pseudo_cusps", "is_cylindrical", "is_constant",
+    "pseudo_singularities", "is_cylindrical", "is_constant",
     "geodesic_residual", "PseudoInvoluteCurve",
 ]
 
@@ -124,27 +124,16 @@ class PseudoEvoluteCurve(Curve):
         return f"PseudoEvoluteCurve({self.base!r})"
 
 
-def _ratio_s_derivative(curve: Curve, ts, depth: int) -> np.ndarray:
-    fe = FrenetEval(curve, ts, order=3 + depth)
-    with np.errstate(all="ignore"):
-        jet = jet_div(fe.tau, fe.k)
-        for _ in range(depth):
-            jet = arclength_derivative(jet, fe.v)
-        return jet[0]
-
-
-def pseudo_escapes(curve: Curve) -> np.ndarray:
-    """Zeros of (tau/k)': parameters where the pseudo-evolute diverges."""
+def pseudo_singularities(curve: Curve) -> tuple:
+    """(escapes, cusps) of the pseudo-evolute from one search: the zeros of
+    (tau/k)', where it diverges, and of (tau/k)'', its cusps."""
+    def scan(ts):
+        fe = FrenetEval(curve, ts, order=5)
+        with np.errstate(all="ignore"):
+            rate = arclength_derivative(jet_div(fe.tau, fe.k), fe.v)
+            return np.stack([rate[0], arclength_derivative(rate, fe.v)[0]])
     a, b = curve.domain
-    return find_roots(lambda ts: _ratio_s_derivative(curve, ts, 1),
-                      a, b, closed=curve.closed)
-
-
-def pseudo_cusps(curve: Curve) -> np.ndarray:
-    """Zeros of (tau/k)'': cusp parameters of the pseudo-evolute."""
-    a, b = curve.domain
-    return find_roots(lambda ts: _ratio_s_derivative(curve, ts, 2),
-                      a, b, closed=curve.closed)
+    return find_roots(scan, a, b, closed=curve.closed)
 
 
 def is_cylindrical(curve: Curve) -> bool:

@@ -11,7 +11,8 @@ import numpy as np
 
 from evolutes import preset, preset_names
 from evolutes.curves import ExprCurve, FrenetODECurve
-from evolutes.evolute import (EvoluteCurve, evolute_cusps, evolute_point,
+from evolutes.evolute import (EvoluteCurve, evolute_point,
+                              evolute_singularities,
                               osculating_circles_disjoint,
                               second_evolute_residual)
 from evolutes.frenet import (FrenetEval, is_congruent, sigma_values,
@@ -20,8 +21,8 @@ from evolutes.monge import (MongeEvoluteCurve, MongeInvoluteCurve,
                             distance_identity_residual, envelope_meetings,
                             monge_evolute_point, offset_angles,
                             polar_line_residual, string_residual)
-from evolutes.pseudo import (PseudoEvoluteCurve, is_cylindrical, pseudo_cusps,
-                             pseudo_escapes, pseudo_evolute_point)
+from evolutes.pseudo import (PseudoEvoluteCurve, is_cylindrical,
+                             pseudo_evolute_point, pseudo_singularities)
 from evolutes.rolling import closed_involute, monodromy
 from evolutes.taylor import arclength_derivative
 
@@ -138,7 +139,7 @@ def test_criterion_06_evolute_total_curvature_is_total_torsion(knot):
 
 
 def test_criterion_07_cusp_censuses(ell_helix, knot):
-    cusps = evolute_cusps(ell_helix)
+    _, cusps = evolute_singularities(ell_helix)
     assert len(cusps) == 4
     ev = EvoluteCurve(ell_helix)
 
@@ -214,7 +215,7 @@ def test_criterion_11_involute_evolute_equals_pseudo_evolute(knot, helix):
 
 
 def test_criterion_12_figure_eight_census(fig8):
-    cusps, escapes = pseudo_cusps(fig8), pseudo_escapes(fig8)
+    escapes, cusps = pseudo_singularities(fig8)
     assert len(cusps) == 12 and len(escapes) == 4
     _pass(12, "figure-eight pseudo-evolute: 12 cusps, 4 infinity escapes")
 

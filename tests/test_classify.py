@@ -1,4 +1,5 @@
 """The singularity classifier: one verdict for the CLI and the report."""
+import importlib
 import json
 
 import pytest
@@ -39,3 +40,35 @@ def test_planar_curve_is_not_spherical():
     assert not verdict.spherical
     assert "EPS_TAU" in str(verdict.error)
     assert verdict.error.t == 0.0
+
+
+# calls of f one classify makes, at most: the first scan and its rounds
+ROOT_CALLS = {
+    ("torus-knot", "evolute"): 1, ("torus-knot", "pseudo-evolute"): 6,
+    ("torus-knot", "monge-evolute"): 5,
+    ("cusp-curve", "evolute"): 1, ("cusp-curve", "pseudo-evolute"): 6,
+    ("cusp-curve", "monge-evolute"): 1,
+    ("fig8", "evolute"): 10, ("fig8", "pseudo-evolute"): 6,
+    ("fig8", "monge-evolute"): 3,
+}
+
+
+@pytest.mark.parametrize("name,construction", sorted(ROOT_CALLS))
+def test_one_root_search_per_construction(name, construction, monkeypatch):
+    # a work-count gate: counts do not depend on the machine
+    searches = []
+    for module in ("evolute", "pseudo", "monge"):
+        module = importlib.import_module(f"evolutes.{module}")
+
+        def counted(f, *args, _find=module.find_roots, **kw):
+            calls = []
+
+            def g(t):
+                calls.append(len(t))
+                return f(t)
+            searches.append(calls)
+            return _find(g, *args, **kw)
+        monkeypatch.setattr(module, "find_roots", counted)
+    classify(preset(name), construction, 512)
+    assert len(searches) == 1
+    assert len(searches[0]) <= ROOT_CALLS[name, construction]

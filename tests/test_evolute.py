@@ -14,8 +14,8 @@ from evolutes import preset
 from evolutes.curves import ExprCurve
 from evolutes.errors import CuspPoint
 from evolutes.evolute import (EvoluteCurve, conformal_torsion,
-                              evolute_curvature_torsion, evolute_cusps,
-                              evolute_escapes, interior_sign,
+                              evolute_curvature_torsion,
+                              evolute_singularities, interior_sign,
                               osculating_circle, osculating_circles_disjoint,
                               osculating_sphere, second_evolute_residual)
 from evolutes.frenet import FrenetEval
@@ -131,13 +131,13 @@ def test_spherical_curve_evolute_is_a_point(spherical):
 
 
 def test_evolute_cusps_of_elliptical_helix(ell_helix):
-    cusps = evolute_cusps(ell_helix)
+    _, cusps = evolute_singularities(ell_helix)
     np.testing.assert_allclose(
         cusps, [0.79928884, 2.34230381, 3.94088149, 5.48389647], atol=1e-6)
 
 
 def test_evolute_escapes_of_figure_eight(fig8):
-    escapes = evolute_escapes(fig8)
+    escapes, _ = evolute_singularities(fig8)
     want = np.array([1.0, 3.0, 5.0, 7.0]) * math.pi / 4.0
     np.testing.assert_allclose(escapes, want, atol=1e-9)
 

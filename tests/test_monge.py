@@ -10,9 +10,9 @@ from evolutes.evolute import EvoluteCurve, evolute_point
 from evolutes.frenet import FrenetEval
 from evolutes.monge import (MongeEvoluteCurve, MongeInvoluteCurve,
                             distance_identity_residual, envelope_meetings,
-                            monge_escapes, monge_evolute_cusps,
                             monge_evolute_point, monge_evolutes_closed,
-                            offset_angles, polar_line_residual, signed_length,
+                            monge_singularities, offset_angles,
+                            polar_line_residual, signed_length,
                             string_residual)
 from evolutes.pseudo import PseudoEvoluteCurve
 
@@ -39,7 +39,7 @@ def test_string_identities(knot, alpha0):
 
 def test_escapes_are_cosine_zeros(knot):
     ev = MongeEvoluteCurve(knot, 0.0)
-    esc = monge_escapes(ev)
+    esc, _ = monge_singularities(ev)
     # alpha sweeps the total torsion, crossing pi/2 + m pi eight times
     assert len(esc) == 8
     np.testing.assert_allclose(np.cos(ev.alpha(esc)), 0.0, atol=1e-9)
@@ -49,7 +49,7 @@ def test_escapes_are_cosine_zeros(knot):
 
 def test_cusps_are_critical_points_of_k_cos_alpha(knot):
     ev = MongeEvoluteCurve(knot, 0.3)
-    cusps = monge_evolute_cusps(ev)
+    _, cusps = monge_singularities(ev)
     assert len(cusps) > 0
 
     def k_cos(ts):
@@ -135,7 +135,7 @@ def test_plane_ellipse_evolute_cusps_and_signed_length():
     ellipse = ExprCurve("2*cos(t), sin(t), 0", (0.0, 2.0 * math.pi),
                         closed=True)
     ev = MongeEvoluteCurve(ellipse, 0.0, closed=True)
-    cusps = monge_evolute_cusps(ev)
+    _, cusps = monge_singularities(ev)
     want = np.array([0.0, 0.5, 1.0, 1.5]) * math.pi
     np.testing.assert_allclose(cusps, want, atol=1e-9)
     astroid = MongeEvoluteCurve(ellipse, 0.0, closed=True,
@@ -147,7 +147,7 @@ def test_signed_involutes_of_cusped_evolute_close():
     ellipse = ExprCurve("2*cos(t), sin(t), 0", (0.0, 2.0 * math.pi),
                         closed=True)
     ev = MongeEvoluteCurve(ellipse, 0.0, closed=True)
-    cusps = tuple(float(c) for c in monge_evolute_cusps(ev))
+    cusps = tuple(float(c) for c in monge_singularities(ev)[1])
     astroid = MongeEvoluteCurve(ellipse, 0.0, closed=True, cusps=cusps)
     a, b = astroid.domain
     delta = 1e-9        # the seam parameter is itself a cusp

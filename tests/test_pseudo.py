@@ -9,8 +9,8 @@ from evolutes.errors import InfinityEscape, LineThroughEdge
 from evolutes.frenet import FrenetEval
 from evolutes.pseudo import (PseudoEvoluteCurve, PseudoInvoluteCurve,
                              geodesic_residual, is_cylindrical,
-                             pseudo_cusps, pseudo_escapes,
-                             pseudo_evolute_point, pseudo_evolute_points)
+                             pseudo_evolute_point, pseudo_evolute_points,
+                             pseudo_singularities)
 
 
 def test_cusp_curve_rational_values(cusp_curve):
@@ -43,17 +43,17 @@ def test_vectorized_points_mark_escapes(cusp_curve):
 
 
 def test_cusp_curve_singularity_census(cusp_curve):
-    esc = pseudo_escapes(cusp_curve)
+    esc, cusps = pseudo_singularities(cusp_curve)
     np.testing.assert_allclose(
         esc, [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], atol=1e-10)
-    cusps = pseudo_cusps(cusp_curve)
     np.testing.assert_allclose(
         cusps, [-0.9315414334795427, 0.9315414334795427], atol=1e-8)
 
 
 def test_figure_eight_census(fig8):
-    assert len(pseudo_escapes(fig8)) == 4
-    assert len(pseudo_cusps(fig8)) == 12
+    escapes, cusps = pseudo_singularities(fig8)
+    assert len(escapes) == 4
+    assert len(cusps) == 12
 
 
 def test_cylindrical_curves_have_no_pseudo_evolute(helix, knot):

@@ -1,9 +1,20 @@
-"""Root scanning: repeated grid scans, pole rejection, closed-curve seams."""
+"""Root scanning: a grid scan, regula falsi rounds, pole rejection,
+closed-curve seams, and several scan functions sharing one search."""
 import math
 
 import numpy as np
 
-from evolutes.roots import find_roots
+from evolutes import FrenetEval
+from evolutes.roots import _ROUNDS, find_roots
+
+
+def _counted(f):
+    calls = []
+
+    def counted(t):
+        calls.append(len(t))
+        return f(t)
+    return counted, calls
 
 
 def test_sine_roots():
@@ -17,8 +28,8 @@ def test_sine_roots():
     want = [math.pi, 2 * math.pi, 3 * math.pi]
     assert len(roots) == len(want)
     np.testing.assert_allclose(roots, want, atol=1e-9)
-    # the scan, at most 12 rounds over all brackets, one spare
-    assert len(calls) <= 2 + 12
+    # the scan and at most 4 rounds: simple roots close superlinearly
+    assert len(calls) <= 5
 
 
 def test_endpoint_root_kept_once():
@@ -29,8 +40,45 @@ def test_endpoint_root_kept_once():
 
 def test_poles_are_not_roots():
     # tan has a sign change at pi/2 that is a pole, plus no true root in (0.5, 3)
-    roots = find_roots(np.tan, 0.5, 3.0)
+    f, calls = _counted(np.tan)
+    roots = find_roots(f, 0.5, 3.0)
     assert len(roots) == 0
+    assert len(calls) <= 1 + _ROUNDS
+
+
+def test_rounding_noise_root_closes_within_the_cap(fig8):
+    # sigma = r tau + (r'/tau)' is 0/0 where the torsion of fig8 vanishes,
+    # at pi/4 + k pi/2; about those points its computed values are rounding
+    # noise, and the regula falsi estimate sits within an ulp of an end
+    f, calls = _counted(lambda t: FrenetEval(fig8, t, order=4).sigma[0])
+    roots = find_roots(f, *fig8.domain)
+    want = (np.arange(4) + 0.5) * math.pi / 2
+    np.testing.assert_allclose(roots, want, atol=2e-6)
+    assert len(calls) < 1 + _ROUNDS          # closed before the cap
+
+
+def test_rows_share_one_search():
+    rows = (np.sin, np.tan, lambda t: np.cos(t ** -2.0))
+
+    def both(t):
+        return np.stack([row(t) for row in rows])
+
+    f, calls = _counted(both)
+    found = find_roots(f, 0.3, 7.0)
+    assert isinstance(found, tuple) and len(found) == len(rows)
+    alone = []
+    for row, roots in zip(rows, found):
+        g, row_calls = _counted(row)
+        np.testing.assert_array_equal(roots, find_roots(g, 0.3, 7.0))
+        alone.append(len(row_calls))
+    # one call per round for all rows: as many as the slowest row needs
+    assert len(calls) == max(alone)
+    period = 2 * math.pi
+    closed = find_roots(lambda t: np.stack([np.sin(t), np.cos(t)]),
+                        0.0, period, closed=True)
+    np.testing.assert_allclose(closed[0], [0.0, math.pi], atol=1e-9)
+    np.testing.assert_allclose(closed[1], [math.pi / 2, 1.5 * math.pi],
+                               atol=1e-9)
 
 
 def test_closed_seam_root_found_once():
