@@ -60,6 +60,13 @@ class RunConfig:
                 raise ValueError("--range bounds and width must be finite")
         if self.point is not None and not np.isfinite(self.point).all():
             raise ValueError("--point coordinates must be finite")
+        for flag, value in (("--alpha0", self.alpha0), ("--length", self.length),
+                            ("--delta", self.delta),
+                            ("--ruling-extent", self.extent)):
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{flag} must be finite")
+        if not 0.0 < self.svg_scale < np.inf:
+            raise ValueError("--svg-scale must be finite and positive")
 
 
 def build_curve(cfg: RunConfig) -> Curve:

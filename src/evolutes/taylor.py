@@ -8,6 +8,15 @@ and quotients follow the Leibniz rule; quotient, square root, sin/cos, exp,
 log and constant powers use the standard triangular recurrences (Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  Binary operations
 truncate to the shorter operand.
+
+The kernels accumulate each output row in place, from one scratch row per
+call, but their arithmetic is fixed: the terms of a Leibniz sum are added
+in ascending j, each product grouped (C * a) * b, and the components of a
+dot product summed (x + y) + z starting from +0.0, as np.sum sums three.
+So every output is bit-identical to the written-out loop forms
+(tests/test_taylor.py keeps them as an oracle).  That is a contract, not a
+nicety: the figures check compares artifacts with a slack at rounding
+level, and a reordered sum moves their last bits.
 """
 
 from __future__ import annotations
@@ -46,6 +55,13 @@ def _match(f, g):
     return f, g
 
 
+def _shape(f, g):
+    """np.broadcast_shapes of two arrays, skipped when their shapes agree."""
+    if f.shape == g.shape:
+        return f.shape
+    return np.broadcast_shapes(f.shape, g.shape)
+
+
 def _degree(f) -> int:
     """Index of the last row of the jet f with a nonzero value, 0 if none.
 
@@ -54,8 +70,22 @@ def _degree(f) -> int:
     the terms within it.  The terms they skip are exact zeros, so their
     sums are unchanged.
     """
-    live = np.flatnonzero(f.reshape(len(f), -1).any(axis=1))
-    return int(live[-1]) if len(live) else 0
+    for d in range(len(f) - 1, 0, -1):
+        if f[d].any():
+            return d
+    return 0
+
+
+def _fold(row, term, op, m, js, a, b, k):
+    """row = op(row, _C[m, j] * a[j] * b[k - j]) for j in js, in that order.
+
+    Each product is grouped (C * a) * b, as in the written-out sums, and
+    formed in the scratch row term, so a term costs no temporaries.
+    """
+    for j in js:
+        np.multiply(_C[m, j], a[j], out=term)
+        term *= b[k - j]
+        op(row, term, out=row)
 
 
 def jet_mul(f, g):
@@ -65,24 +95,26 @@ def jet_mul(f, g):
 
 def _product(f, g, df, dg):
     """Leibniz product of two jets of one length, of degrees df and dg."""
-    out = np.zeros(np.broadcast_shapes(f.shape, g.shape))
+    out = np.zeros(_shape(f, g))
+    term = np.empty(out.shape[1:])
     for m in range(min(len(f), df + dg + 1)):
         lo, hi = max(0, m - dg), min(m, df)
-        acc = _C[m, lo] * f[lo] * g[m - lo]
-        for j in range(lo + 1, hi + 1):
-            acc = acc + _C[m, j] * f[j] * g[m - j]
-        out[m] = acc
+        row = out[m, ...]
+        np.multiply(_C[m, lo], f[lo], out=row)
+        row *= g[m - lo]
+        _fold(row, term, np.add, m, range(lo + 1, hi + 1), f, g, m)
     return out
 
 
 def jet_div(f, g):
     f, g = _match(f, g)
-    out = np.empty(np.broadcast_shapes(f.shape, g.shape))
+    out = np.empty(_shape(f, g))
+    term = np.empty(out.shape[1:])
     for m in range(len(f)):
-        acc = f[m]
-        for j in range(m):
-            acc = acc - _C[m, j] * out[j] * g[m - j]
-        out[m] = acc / g[0]
+        row = out[m, ...]
+        row[...] = f[m]
+        _fold(row, term, np.subtract, m, range(m), out, g, m)
+        row /= g[0]
     return out
 
 
@@ -97,11 +129,13 @@ def jet_sqrt(f):
     f = np.asarray(f)
     out = np.empty_like(f)
     out[0] = np.sqrt(f[0])
+    twice = 2.0 * out[0]
+    term = np.empty_like(out[0, ...])
     for m in range(1, _orders(len(f))):
-        acc = f[m]
-        for j in range(1, m):
-            acc = acc - _C[m, j] * out[j] * out[m - j]
-        out[m] = acc / (2.0 * out[0])
+        row = out[m, ...]
+        row[...] = f[m]
+        _fold(row, term, np.subtract, m, range(1, m), out, out, m)
+        row /= twice
     return out
 
 
@@ -113,14 +147,15 @@ def jet_sin_cos(u):
     s[0] = np.sin(u[0])
     c[0] = np.cos(u[0])
     du = _degree(u)
+    term = np.empty_like(u[0, ...])
     for m in range(_orders(len(u)) - 1):
-        acc_s = 0.0
-        acc_c = 0.0
-        for j in range(max(0, m + 1 - du), m + 1):
-            acc_s = acc_s + _C[m, j] * c[j] * u[m + 1 - j]
-            acc_c = acc_c + _C[m, j] * s[j] * u[m + 1 - j]
-        s[m + 1] = acc_s
-        c[m + 1] = -acc_c
+        js = range(max(0, m + 1 - du), m + 1)
+        row_s, row_c = s[m + 1, ...], c[m + 1, ...]
+        row_s[...] = 0.0
+        row_c[...] = 0.0
+        _fold(row_s, term, np.add, m, js, c, u, m + 1)
+        _fold(row_c, term, np.add, m, js, s, u, m + 1)
+        np.negative(row_c, out=row_c)
     return s, c
 
 
@@ -130,11 +165,13 @@ def jet_exp(f):
     out = np.empty_like(f)
     out[0] = np.exp(f[0])
     df = _degree(f)
+    term = np.empty_like(out[0, ...])
     for m in range(_orders(len(f)) - 1):
-        acc = _C[m, 0] * f[1] * out[m]
-        for j in range(1, min(m, df - 1) + 1):
-            acc = acc + _C[m, j] * f[j + 1] * out[m - j]
-        out[m + 1] = acc
+        row = out[m + 1, ...]
+        np.multiply(_C[m, 0], f[1], out=row)
+        row *= out[m]
+        _fold(row, term, np.add, m, range(1, min(m, df - 1) + 1), f[1:], out,
+              m)
     return out
 
 
@@ -182,12 +219,21 @@ def jet_pow(f, p: float):
     zero = f[0] == 0.0
     base = np.where(zero, 1.0, f[0])
     df = _degree(f)
+    term, other = np.empty_like(base), np.empty_like(base)
     for m in range(len(f) - 1):
-        acc = p * f[1] * out[m]
+        row = out[m + 1, ...]
+        np.multiply(p, f[1], out=row)
+        row *= out[m]
         for j in range(1, min(m, df) + 1):
-            acc = acc + _C[m, j] * (p * f[j + 1] * out[m - j]
-                                    - f[j] * out[m + 1 - j])
-        out[m + 1] = np.where(zero, 0.0 if m + 1 < p else np.nan, acc / base)
+            # _C[m, j] * (p f[j+1] out[m-j] - f[j] out[m+1-j])
+            np.multiply(p, f[j + 1], out=term)
+            term *= out[m - j]
+            np.multiply(f[j], out[m + 1 - j], out=other)
+            term -= other
+            term *= _C[m, j]
+            row += term
+        row /= base
+        np.copyto(row, 0.0 if m + 1 < p else np.nan, where=zero)
     return out
 
 
@@ -195,37 +241,54 @@ def jet_dot(f, g):
     """Scalar-product jet of two vector jets."""
     m = _orders(min(len(f), len(g)))
     f, g = np.asarray(f)[:m], np.asarray(g)[:m]
-    out = np.empty(np.broadcast_shapes(f.shape, g.shape)[:-1])
+    shape = _shape(f, g)
+    out = np.empty(shape[:-1])
+    prod = np.empty(shape[1:])
+    term = np.empty(shape[1:-1])
+    x, y, z = prod[..., 0], prod[..., 1], prod[..., 2]
     for k in range(m):
-        acc = np.sum(_C[k, 0] * f[0] * g[k], axis=-1)
-        for j in range(1, k + 1):
-            acc = acc + np.sum(_C[k, j] * f[j] * g[k - j], axis=-1)
-        out[k] = acc
+        row = out[k, ...]
+        for j in range(k + 1):
+            np.multiply(_C[k, j], f[j], out=prod)
+            prod *= g[k - j]
+            acc = term if j else row            # term 0 lands in the row
+            np.add(x, y, out=acc)
+            acc += z
+            if j:
+                row += term
+        # each component sum of np.sum starts from +0.0; adding it once
+        # turns only an all -0.0 row into +0.0, as those sums did
+        row += 0.0
     return out
 
 
-def _cross(f, g):
+def _cross(f, g, out=None):
     """np.cross of 3-vectors on the last axis, bit for bit: the same
     products and differences in the same order, without its set-up cost."""
-    out = np.empty(np.broadcast_shapes(f.shape, g.shape),
-                   dtype=np.result_type(f, g))
+    if out is None:
+        out = np.empty(_shape(f, g), dtype=np.result_type(f, g))
     f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
     g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
-    np.subtract(f1 * g2, f2 * g1, out=out[..., 0])
-    np.subtract(f2 * g0, f0 * g2, out=out[..., 1])
-    np.subtract(f0 * g1, f1 * g0, out=out[..., 2])
+    for i, (a, b, c, d) in enumerate(((f1, g2, f2, g1), (f2, g0, f0, g2),
+                                      (f0, g1, f1, g0))):
+        np.multiply(a, b, out=out[..., i])
+        out[..., i] -= c * d
     return out
 
 
 def jet_cross(f, g):
     m = _orders(min(len(f), len(g)))
     f, g = np.asarray(f)[:m], np.asarray(g)[:m]
-    out = np.empty(np.broadcast_shapes(f.shape, g.shape))
+    out = np.empty(_shape(f, g))
+    term = np.empty(out.shape[1:])
     for k in range(m):
-        acc = _C[k, 0] * _cross(f[0], g[k])
+        row = out[k, ...]
+        _cross(f[0], g[k], out=row)
+        row *= _C[k, 0]
         for j in range(1, k + 1):
-            acc = acc + _C[k, j] * _cross(f[j], g[k - j])
-        out[k] = acc
+            _cross(f[j], g[k - j], out=term)
+            term *= _C[k, j]
+            row += term
     return out
 
 

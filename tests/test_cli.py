@@ -78,6 +78,30 @@ def test_usage_errors_exit_2(argv, capsys):
         assert "--point coordinates must be finite" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["monge-evolute", "--preset", "torus-knot", "--alpha0", "nan"], "--alpha0"),
+    (["monge-evolute", "--preset", "torus-knot", "--alpha0", "inf"], "--alpha0"),
+    (["monge-involute", "--preset", "helix", "--length", "nan"], "--length"),
+    (["monge-involute", "--preset", "helix", "--length", "inf"], "--length"),
+    (["report", "--preset", "helix", "--delta", "nan"], "--delta"),
+    (["developable", "--preset", "helix", "--ruling-extent", "0:inf"],
+     "--ruling-extent"),
+    (["developable", "--preset", "helix", "--ruling-extent", "nan"],
+     "--ruling-extent"),
+    (["develop", "--preset", "helix", "--svg-scale", "inf"], "--svg-scale"),
+    (["develop", "--preset", "helix", "--svg-scale", "0"], "--svg-scale"),
+    (["develop", "--preset", "helix", "--svg-scale", "-1"], "--svg-scale"),
+])
+def test_unusable_numbers_exit_2_naming_the_option(argv, flag, tmp_path,
+                                                   capsys):
+    out = tmp_path / "out"
+    assert entry(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag} must be")
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, check", [
     (["evolute", "--expr", "cos(t),sin(t),0"], "EPS_TAU"),
     (["evolute", "--expr", "t,2*t,3*t"], "EPS_K"),
