@@ -170,8 +170,8 @@ def jet_exp(f):
         row = out[m + 1, ...]
         np.multiply(_C[m, 0], f[1], out=row)
         row *= out[m]
-        _fold(row, term, np.add, m, range(1, min(m, df - 1) + 1), f[1:], out,
-              m)
+        js = range(1, min(m, df - 1) + 1)
+        _fold(row, term, np.add, m, js, f[1:], out, m)
     return out
 
 
