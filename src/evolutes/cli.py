@@ -21,6 +21,7 @@ from .errors import DomainError, GeometryError, ParseError
 from .envelope import developable_patch
 from .exporters import atomic_write, render_csv, render_json, render_obj, \
     render_svg
+from .expr import _SLICE
 from .frenet import FrenetEval
 from .monge import MongeInvoluteCurve
 from .report import curve_report, monodromy_block
@@ -127,6 +128,32 @@ def _finite_rows(ts, pts):
     return ts[good], pts[good]
 
 
+def _pass_groups(grids):
+    """Consecutive branch grids gathered into groups of at most one jets
+    pass (expr._SLICE parameters) each; a branch is never split, so a
+    longer one is a group of its own."""
+    groups, size = [], 0
+    for ts in grids:
+        if groups and size + len(ts) <= _SLICE:
+            groups[-1].append(ts)
+            size += len(ts)
+        else:
+            groups.append([ts])
+            size = len(ts)
+    return groups
+
+
+def _branch_points(point, grids):
+    """(ts, finite points) of each branch, one point call per group of
+    branches: per call, the cost of a pass is mostly fixed overhead."""
+    segments = []
+    for group in _pass_groups(grids):
+        pts = point(np.concatenate(group))
+        ends = np.cumsum([len(ts) for ts in group])[:-1]
+        segments += map(_finite_rows, group, np.split(pts, ends))
+    return segments
+
+
 def _require_finite(ts, pts, what: str):
     """Refuse to write positions (one row, or one row of a mesh, per t)
     that are not all finite, naming the first offending t."""
@@ -158,8 +185,7 @@ def _cmd_construction(cfg: RunConfig, curve: Curve, construction) -> int:
     if verdict.error is not None:
         raise verdict.error
     grids = branch_grids(curve.domain, verdict.cuts, cfg.samples)
-    segments = [_finite_rows(ts, verdict.point(ts)) for ts in grids]
-    return _emit_polyline(cfg, segments)
+    return _emit_polyline(cfg, _branch_points(verdict.point, grids))
 
 
 def _cmd_monge_involute(cfg: RunConfig, curve: Curve) -> int:
@@ -167,8 +193,7 @@ def _cmd_monge_involute(cfg: RunConfig, curve: Curve) -> int:
         raise ValueError("monge-involute requires --length")
     inv = MongeInvoluteCurve(curve, cfg.length, signed=cfg.signed)
     grids = branch_grids(curve.domain, curve.cusps, cfg.samples)
-    segments = [_finite_rows(ts, inv.point(ts)) for ts in grids]
-    return _emit_polyline(cfg, segments)
+    return _emit_polyline(cfg, _branch_points(inv.point, grids))
 
 
 def _cmd_involute(cfg: RunConfig, curve: Curve) -> int:
@@ -302,13 +327,14 @@ _NEGATIVE_OK = {"--range", "--point", "--alpha0", "--length", "--delta",
 
 
 def _absorb_negatives(argv):
-    """Let values like -1:1 follow their flag without '=' syntax."""
+    """Let values like -1:1 or -inf follow their flag without '=' syntax."""
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else ""
         if (tok in _NEGATIVE_OK and nxt.startswith("-") and len(nxt) > 1
-                and (nxt[1].isdigit() or nxt[1] == ".")):
+                and (nxt[1].isdigit() or nxt[1] == "."
+                     or nxt[1:4].lower() in ("inf", "nan"))):
             out.append(tok + "=" + nxt)
             i += 2
         else:

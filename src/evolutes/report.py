@@ -14,7 +14,7 @@ import numpy as np
 from .classify import Verdict, classify, probe_grid
 from .curves import SIGMA_CLEARANCE, Curve
 from .errors import GeometryError
-from .evolute import EvoluteCurve, osculating_circles_disjoint
+from .evolute import _evolute_jets, osculating_circles_disjoint
 from .frenet import (ArclengthMap, FrenetEval, arclength,
                      total_absolute_torsion)
 from .monge import monge_evolutes_closed
@@ -46,14 +46,18 @@ def identity_residuals(curve: Curve, ts) -> dict:
     sigma.  determinant_identity: det(t, t'', t''') against
     k^3 tau^2 sigma + k^4 tau, arclength derivatives of the unit tangent.
     """
-    ts = np.asarray(ts, dtype=float)
-    fe = FrenetEval(curve, ts, order=5)
+    return _residuals(FrenetEval(curve, np.asarray(ts, dtype=float), order=4))
+
+
+def _residuals(fe: FrenetEval) -> dict:
+    """identity_residuals from fe, a FrenetEval of order 4: the lowest
+    order that holds every jet they read."""
     out = {}
     with np.errstate(all="ignore"):
         sigma = fe.sigma[0]
         good = np.isfinite(sigma) & (np.abs(sigma) > SIGMA_CLEARANCE)
         if good.any():
-            dev = EvoluteCurve(curve).derivatives(ts[good], 1)[1]
+            dev = _evolute_jets(fe, 1)[1][good]
             cross = np.cross(dev, fe.B[0][good])
             align = np.linalg.norm(cross, axis=-1) / np.linalg.norm(dev, axis=-1)
             out["tangent_alignment"] = float(np.max(_finite(align), initial=0.0))
@@ -170,5 +174,5 @@ def curve_report(curve: Curve, samples: int = 1024,
     if circle_delta is not None:
         attempt("osculating_circles",
                 lambda: _circles_block(curve, circle_delta))
-    attempt("residuals", lambda: identity_residuals(curve, ts))
+    attempt("residuals", lambda: _residuals(fe))
     return report

@@ -178,12 +178,13 @@ class TracedInvoluteCurve(Curve):
                          w0 * d1 - w1 * d0])
 
     def derivatives(self, t, order: int) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        a, b = self.domain
-        fe = FrenetEval(self.base, np.clip(t, a, b), order=max(order, 1) + 2)
+        t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), *self.domain)
+        if order == 0:      # the points alone: the dense output, no jets
+            return self._segments(t)[None]
+        fe = FrenetEval(self.base, t, order=order + 2)
         w = jet_mul(fe.tau, fe.d1)
         out = np.empty((order + 1, len(t), 3))
-        out[0] = self._segments(np.clip(t, a, b))
+        out[0] = self._segments(t)
         for m in range(order):
             acc = np.zeros((len(t), 3))
             for j in range(m + 1):

@@ -1,4 +1,5 @@
 """Command-line front end: exit codes, artifacts, determinism."""
+import dataclasses
 import io
 import json
 import math
@@ -10,8 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from evolutes import preset
+from evolutes import cli, preset
+from evolutes.classify import classify
 from evolutes.cli import entry
+from evolutes.curves import branch_grids
+from evolutes.exporters import render_csv
+from evolutes.expr import _SLICE
 from evolutes.monge import MongeInvoluteCurve
 
 
@@ -69,6 +74,10 @@ def test_cylindrical_pseudo_evolute_exits_3(capsys):
     ["frenet", "--preset", "helix", "--tol", "1e-3"],   # option retired
     ["involute", "--preset", "helix", "--point", "nan:0"],
     ["involute", "--preset", "helix", "--point", "inf:0"],
+    ["involute", "--preset", "helix", "--point", "-inf:0"],
+    ["involute", "--preset", "helix", "--point", "-NaN:0"],
+    ["frenet", "--preset", "helix", "--range", "-inf:1"],
+    ["frenet", "--preset", "helix", "--range", "-Infinity:1"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert entry(argv) == 2
@@ -76,6 +85,8 @@ def test_usage_errors_exit_2(argv, capsys):
     assert "Warning" not in err
     if "--point" in argv:
         assert "--point coordinates must be finite" in err
+    if "--range" in argv and argv[argv.index("--range") + 1].startswith("-"):
+        assert "--range bounds and width must be finite" in err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -91,6 +102,13 @@ def test_usage_errors_exit_2(argv, capsys):
     (["develop", "--preset", "helix", "--svg-scale", "inf"], "--svg-scale"),
     (["develop", "--preset", "helix", "--svg-scale", "0"], "--svg-scale"),
     (["develop", "--preset", "helix", "--svg-scale", "-1"], "--svg-scale"),
+    # a negative non-finite value follows its option without '='
+    (["monge-evolute", "--preset", "torus-knot", "--alpha0", "-inf"], "--alpha0"),
+    (["monge-evolute", "--preset", "torus-knot", "--alpha0", "-INF"], "--alpha0"),
+    (["monge-evolute", "--preset", "torus-knot", "--alpha0", "-Infinity"],
+     "--alpha0"),
+    (["monge-evolute", "--preset", "torus-knot", "--alpha0", "-nan"], "--alpha0"),
+    (["monge-involute", "--preset", "helix", "--length", "-NaN"], "--length"),
 ])
 def test_unusable_numbers_exit_2_naming_the_option(argv, flag, tmp_path,
                                                    capsys):
@@ -193,6 +211,51 @@ def test_pseudo_evolute_svg_branches(tmp_path):
     text = out.read_text()
     # 4 escapes and 12 cusps cut one period into 16 visible branches
     assert text.count("<path ") == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["pseudo-evolute", "--preset", "torus-knot"],       # 20 branches
+    ["monge-evolute", "--preset", "torus-knot"],        # 17 branches
+])
+def test_branches_share_one_point_pass(argv, tmp_path, monkeypatch):
+    # every branch of a 1024-sample grid fits in one jets pass, so the
+    # command calls point once; the bytes are those of one call per branch
+    calls = []
+
+    def counted(*args):
+        verdict = classify(*args)
+
+        def point(ts):
+            calls.append(len(ts))
+            return verdict.point(ts)
+        return dataclasses.replace(verdict, point=point)
+
+    monkeypatch.setattr(cli, "classify", counted)
+    out = tmp_path / "c.csv"
+    assert entry([*argv, "--out", str(out)]) == 0
+
+    curve = preset("torus-knot")
+    verdict = classify(curve, argv[0], 1024, 0.0)
+    grids = branch_grids(curve.domain, verdict.cuts, 1024)
+    assert len(grids) > 10
+    assert calls == [sum(len(ts) for ts in grids)]
+    rows = [cli._finite_rows(ts, verdict.point(ts)) for ts in grids]
+    want = render_csv(np.concatenate([ts for ts, _ in rows]),
+                      np.concatenate([pts for _, pts in rows]))
+    assert out.read_text() == want
+
+
+def test_a_branch_longer_than_a_pass_is_never_split():
+    def grid(n):
+        return np.linspace(0.0, 1.0, n)
+
+    grids = [grid(100), grid(100), grid(_SLICE + 1), grid(100),
+             grid(_SLICE - 100), grid(100)]
+    groups = cli._pass_groups(grids)
+    assert [[len(ts) for ts in group] for group in groups] == [
+        [100, 100], [_SLICE + 1], [100, _SLICE - 100], [100]]
+    flat = [ts for group in groups for ts in group]
+    assert list(map(id, flat)) == list(map(id, grids))
 
 
 @pytest.mark.xfail(strict=True, reason=(

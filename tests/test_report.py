@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from evolutes import preset
+from evolutes.catalog import preset_names
+from evolutes.classify import probe_grid
 from evolutes.cli import entry
 from evolutes.exporters import render_json
 from evolutes.quadrature import CumulativeIntegral
@@ -17,6 +19,14 @@ def test_identity_residuals_small_on_generic_curve(knot):
     assert set(res) == {"tangent_alignment", "sphere_rate",
                         "determinant_identity"}
     assert all(v < 1e-9 for v in res.values())
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_report_residuals_share_the_probe_grid_jets(name):
+    # curve_report reads the residuals from the FrenetEval of its invariants
+    curve = preset(name)
+    assert curve_report(curve)["residuals"] == identity_residuals(
+        curve, probe_grid(curve, 1024))
 
 
 def test_report_shape_and_serializability(knot):

@@ -132,6 +132,24 @@ def test_closed_involute_reads_its_base_curve_from_a_table(monkeypatch):
     assert len(calls) < 50
 
 
+def test_traced_points_read_no_base_jets(knot, monkeypatch):
+    # point asks for order 0: the dense output alone, the same rows as
+    # row 0 of a higher order
+    inv = TracedInvoluteCurve(knot, (0.7, -0.4))
+    ts = np.linspace(*knot.domain, 57)
+    want = inv.derivatives(ts, 2)[0]
+    calls = []
+    derivatives = knot.derivatives
+
+    def counting(ts, order):
+        calls.append(order)
+        return derivatives(ts, order)
+
+    monkeypatch.setattr(knot, "derivatives", counting)
+    np.testing.assert_array_equal(inv.point(ts), want)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["torus-knot", "helix"])
 def test_involute_field_matches_the_direct_formula(name):
     # w x (P - x) with w = det(x', x'', x''') / |x' x x''|^2 x'
