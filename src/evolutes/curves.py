@@ -141,8 +141,10 @@ class FrenetODECurve(Curve):
     def _rhs(self, t, y):
         k = ex.evaluate(self.k_expr, t)
         tau = ex.evaluate(self.tau_expr, t)
-        T, N, B = y[3:6], y[6:9], y[9:12]
-        return np.concatenate([T, k * N, -k * T + tau * B, -tau * N])
+        _, _, _, T0, T1, T2, N0, N1, N2, B0, B1, B2 = y.tolist()
+        return np.array([T0, T1, T2, k * N0, k * N1, k * N2,
+                         -k * T0 + tau * B0, -k * T1 + tau * B1,
+                         -k * T2 + tau * B2, -tau * N0, -tau * N1, -tau * N2])
 
     def derivatives(self, t, order: int) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))

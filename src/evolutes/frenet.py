@@ -12,8 +12,10 @@ over the query parameters and computed to whatever jet order the raw stack
 supports, so derived curves in turn have exact derivatives.
 
 ``ArclengthMap`` is the one integral along a curve, c0 + the integral of a
-Frenet weight ds: arc length, the turning angle of the development, the
-torsion angle of the Monge evolutes and every total are its tables.
+Frenet weight ds: arc length, the turning angle of the development and the
+torsion angle of the Monge evolutes are its tables, every total is the end
+of one, and the total absolute torsion is the variation of the torsion
+angle.
 
 Conventions: curvature is nonnegative, torsion is signed by det(x', x'',
 x''') and d/ds denotes the arclength derivative.
@@ -208,9 +210,9 @@ def total_torsion(curve: Curve) -> float:
 
 
 def total_absolute_torsion(curve: Curve) -> float:
-    """Integral of |tau| ds over the whole domain; panel refinement resolves
-    the kinks at torsion zeros."""
-    return ArclengthMap(curve, lambda fe: np.sign(fe.tau[0]) * fe.tau).total
+    """Integral of |tau| ds over the whole domain: the variation of the
+    torsion angle, read off its table between the torsion's sign changes."""
+    return ArclengthMap(curve, lambda fe: fe.tau).variation
 
 
 def indicatrix_geodesic_curvature(curve: Curve, ts) -> np.ndarray:

@@ -12,8 +12,9 @@ series, and the antiderivative of that series: the cumulative sum of
 Chebfun (Driscoll, Hale & Trefethen, *Chebfun Guide*, 2014).  Kronrod's
 rule is interpolatory on its nodes, so a whole panel integrates to its
 Kronrod value.  Values and inverses at any number of parameters come from
-these polynomials; the integrand is called while the table is built and
-never after.
+these polynomials, and so does the integral of |f|: the table's variation
+between the sign changes of the panel polynomials.  The integrand is called
+while the table is built and never after.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ _MAX_ROUNDS = 48
 # budget (a NaN, a pole) doubles them every round until memory runs out.
 _MAX_LIVE_PANELS = 4096
 _NEWTON_STEPS = 60       # cap on the iterations of an inverse
+# F is flat where f changes sign, so F at a cut is off by the square of the
+# cut's error: a few regula falsi steps on a bracket between neighbouring
+# samples reach rounding
+_FALSI_STEPS = 6
 # A vector of an interpolant is resolved on a panel when its last two
 # Legendre coefficients are at or below _TAIL_RTOL times its largest
 # component there, or below _TAIL_ATOL.  1e-15 is the rounding floor of
@@ -93,6 +98,30 @@ def _antiderivative_map(degree: int) -> np.ndarray:
 _TO_SERIES = np.linalg.inv(
     _series(np.eye(len(_XK)), np.arange(len(_XK)), _XK[:, None])).T
 _INTEGRATE = _antiderivative_map(len(_XK) - 1)
+# where variation looks for sign changes: the ends and nodes of a panel, and
+# interpolant coefficients @ _AT_SAMPLES: the values there
+_SAMPLES = np.concatenate([[-1.0], _XK, [1.0]])
+_AT_SAMPLES = _series(np.eye(len(_XK)), np.arange(len(_XK)),
+                      _SAMPLES[:, None]).T
+
+
+def _falsi(coef, i, xl, xr, fl, fr):
+    """A zero of the series of row i of coef in each bracket [xl, xr], at
+    whose ends it takes the values fl and fr of opposite signs: Illinois
+    regula falsi, vectorized over the brackets."""
+    x = xl
+    kept = np.zeros(len(i))      # +1: xl stayed last step, -1: xr did
+    for _ in range(_FALSI_STEPS if len(i) else 0):
+        x = xl - fl * (xr - xl) / (fr - fl)
+        fx = _series(coef, i, x)
+        left = np.sign(fx) == np.sign(fl)       # the zero is right of x
+        # Illinois: halve the value at an end that stays twice running
+        fl = np.where(~left & (kept == 1), 0.5 * fl, fl)
+        fr = np.where(left & (kept == -1), 0.5 * fr, fr)
+        xl, fl = np.where(left, x, xl), np.where(left, fx, fl)
+        xr, fr = np.where(left, xr, x), np.where(left, fr, fx)
+        kept = np.where(left, -1, 1)
+    return x
 
 
 def _at_nodes(f, lo, hi):
@@ -150,7 +179,9 @@ class CumulativeIntegral:
     where G_i is the antiderivative of the polynomial through the panel's
     Kronrod node values; F is complex for a complex f and reads table[i]
     exactly at every edge.  ``inverse`` assumes a real f >= 0 (nondecreasing
-    F) and runs Newton's method on the same polynomials.  Neither calls f.
+    F) and runs Newton's method on the same polynomials; ``variation``, the
+    integral of |f| for a real f, cuts F at their sign changes.  None of
+    them calls f.
     """
 
     def __init__(self, f, a: float, b: float, c0: float = 0.0):
@@ -162,12 +193,13 @@ class CumulativeIntegral:
 
         def accept(lo, hi, nodes):
             # the Kronrod value against its embedded Gauss value, within
-            # the panel's share of the budget of the running total
+            # the panel's share of the budget of the running integral of
+            # |f|: a signed total that cancels would tighten it
             half = 0.5 * (hi - lo)
             vals = (nodes @ _WK) * half
             errs = np.abs(vals - (nodes[:, 1::2] @ _WG) * half)
-            scale = max(abs(sum(v.sum() for v in keep_val) + vals.sum()),
-                        _ATOL)
+            scale = max(sum(np.abs(v).sum() for v in keep_val)
+                        + np.abs(vals).sum(), _ATOL)
             ok = errs <= ((hi - lo) / width) * max(_ATOL, _RTOL * scale)
             keep_val.append(vals[ok])
             return ok
@@ -186,6 +218,32 @@ class CumulativeIntegral:
     @property
     def total(self) -> float:
         return self.table[-1].item()
+
+    @property
+    def variation(self) -> float:
+        """The integral of |f| over [a, b], for a real f, from the panel
+        polynomials alone.  It is the sum of |F(c_(j+1)) - F(c_j)| over a,
+        the cuts c_j and b: the sign changes of f.  A sign change between
+        consecutive samples of a panel (its ends and Kronrod nodes) is
+        polished by regula falsi (Illinois) on the panel's series, a sample
+        where f is exactly 0 is a cut, and so is an edge across which f
+        jumps from one sign to the other."""
+        y = self._interpolant @ _AT_SAMPLES
+        s = np.sign(y)
+        i, j = np.nonzero(s[:, :-1] * s[:, 1:] < 0)
+        x = _falsi(self._interpolant, i, _SAMPLES[j], _SAMPLES[j + 1],
+                   y[i, j], y[i, j + 1])
+        zi, zj = np.nonzero(s == 0)
+        jumps = np.flatnonzero(s[:-1, -1] * s[1:, 0] < 0) + 1
+        i = np.concatenate([i, zi, jumps])
+        x = np.concatenate([x, _SAMPLES[zj], np.full(len(jumps), -1.0)])
+        order = np.lexsort((x, i))
+        i, x = i[order], x[order]
+        # F reads the table exactly at an edge: _rise(i, -1) is 0
+        cuts = np.where(x == 1.0, self.table[i + 1],
+                        self.table[i] + self._rise(i, x))
+        values = np.concatenate([self.table[:1], cuts, self.table[-1:]])
+        return np.abs(np.diff(values)).sum().item()
 
     def _rise(self, i, x):
         """F minus table[i] at x of panel i."""

@@ -15,8 +15,7 @@ from .classify import Verdict, classify, probe_grid
 from .curves import SIGMA_CLEARANCE, Curve
 from .errors import GeometryError
 from .evolute import _evolute_jets, osculating_circles_disjoint
-from .frenet import (ArclengthMap, FrenetEval, arclength,
-                     total_absolute_torsion)
+from .frenet import ArclengthMap, FrenetEval, arclength
 from .monge import monge_evolutes_closed
 from .rolling import Development, monodromy
 from .taylor import arclength_derivative, jet_mul
@@ -147,8 +146,9 @@ def curve_report(curve: Curve, samples: int = 1024,
         report[key] = value if value is None or not isinstance(value, float) \
             or math.isfinite(value) else None
 
-    # the k and tau tables serve two keys each on a closed curve; a table
-    # that fails to build is tried again by the next key, and fails alike
+    # the tau table serves two keys (three on a closed curve) and the k
+    # table two on a closed curve; a table that fails to build is tried
+    # again by the next key, and fails alike
     @cache
     def turning():
         return ArclengthMap(curve, lambda fe: fe.k)
@@ -161,7 +161,7 @@ def curve_report(curve: Curve, samples: int = 1024,
     attempt("total_curvature", lambda: float(turning().total))
     attempt("total_torsion", lambda: float(torsion_angle().total))
     attempt("total_absolute_torsion",
-            lambda: float(total_absolute_torsion(curve)))
+            lambda: float(torsion_angle().variation))
     for key, construction in (("evolute", "evolute"),
                               ("pseudo_evolute", "pseudo-evolute")):
         attempt(key, lambda: _verdict_block(

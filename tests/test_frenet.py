@@ -11,9 +11,10 @@ import pytest
 import sympy as sp
 
 from evolutes import preset
-from evolutes.curves import ExprCurve
+from evolutes.curves import ExprCurve, FrenetODECurve
 from evolutes.errors import CuspPoint, DegenerateCurvature
-from evolutes.frenet import (FrenetEval, indicatrix_geodesic_curvature,
+from evolutes.frenet import (ArclengthMap, FrenetEval,
+                             indicatrix_geodesic_curvature,
                              is_congruent, regular_eval, sigma_values,
                              total_absolute_torsion, total_curvature,
                              total_torsion)
@@ -151,6 +152,44 @@ def test_total_absolute_torsion_with_zeros_inside_panels(fig8, start):
                         closed=True)
     want = total_absolute_torsion(fig8)
     assert abs(total_absolute_torsion(shifted) - want) < 1e-12
+
+
+def test_total_absolute_torsion_of_a_torsion_profile():
+    # unit speed and tau = sin(t) over a period whose zeros pi and 2 pi lie
+    # inside panels: the integral of |sin| is 4
+    curve = FrenetODECurve("1", "sin(t)", (0.3, 0.3 + 2.0 * math.pi))
+    assert abs(total_absolute_torsion(curve) - 4.0) < 1e-10
+
+
+def test_variation_of_a_positive_weight_is_its_total(helix):
+    table = ArclengthMap(helix)
+    assert table.variation == table.total
+
+
+def test_total_absolute_torsion_takes_one_round_of_jets(monkeypatch):
+    # the 64 first panels of the tau table meet its budget at once; a table
+    # of |tau| bisects its kinks at the torsion zeros for 26 rounds
+    curve = preset("spherical")
+    derivatives = curve.derivatives
+    calls = []
+
+    def counting(ts, order):
+        calls.append(np.size(ts))
+        return derivatives(ts, order)
+
+    monkeypatch.setattr(curve, "derivatives", counting)
+    total_absolute_torsion(curve)
+    assert calls == [960]
+
+
+def test_torsion_totals_of_a_curve_whose_torsion_nearly_cancels():
+    # the error budget of the signed tau table is relative to the integral
+    # of |tau|, 94 times the signed total here; relative to the signed total
+    # it was too tight to meet near t = 1.346
+    curve = ExprCurve("tan(0.378*sin(tan(-0.831*sin(0.395*t)))),"
+                      " cos(sin(1.781*t)), -0.575*t", (0.945, 2.305))
+    assert abs(total_torsion(curve) - 0.0656165405) < 1e-10
+    assert abs(total_absolute_torsion(curve) - 6.1773034730) < 1e-9
 
 
 def test_congruence_detects_rigid_motion(knot):

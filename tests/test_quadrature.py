@@ -67,7 +67,25 @@ def test_cumulative_table_never_calls_its_integrand():
     table(2.0)
     table.inverse(table(ts))
     table.inverse(3.0)
+    table.variation
     assert len(calls) == built
+
+
+@pytest.mark.parametrize("f, a, b, want", [
+    # zeros inside panels
+    (np.sin, 0.0, 10.0, 7.0 + math.cos(10.0)),
+    # a jump from one sign to the other at the panel edge t = 0
+    (lambda t: np.where(t < 0.0, -1.0 - t * t, 1.0 + t * t), -1.0, 1.0,
+     8.0 / 3.0),
+    # panels on which f is 0 at every sample, then a kink inside a panel
+    (lambda t: np.where(t < 0.0, 0.0, np.sin(3.0 * t)), -1.0, 2.0,
+     (3.0 + math.cos(6.0)) / 3.0),
+    # a zero on a panel edge
+    (lambda t: t - 0.5, 0.0, 1.0, 0.25),
+], ids=["zeros-inside-panels", "jump-at-an-edge", "zero-stretch-and-kink",
+        "zero-on-an-edge"])
+def test_variation_is_the_integral_of_the_absolute_value(f, a, b, want):
+    assert abs(CumulativeIntegral(f, a, b).variation - want) <= 1e-12 * want
 
 
 def test_cumulative_table_is_exact_at_its_edges():

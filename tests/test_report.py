@@ -56,9 +56,10 @@ def test_report_marks_cylindrical_pseudo_evolute(helix):
     assert rep["evolute"]["defined"] is True
 
 
-def test_closed_curve_report_builds_five_tables(knot, monkeypatch):
+def test_closed_curve_report_builds_four_tables(knot, monkeypatch):
     # arclength, k (total curvature and the monodromy angle), tau (total
-    # torsion and the Monge closing test), |tau| and the developed position
+    # torsion, its variation the total absolute torsion, and the Monge
+    # closing test) and the developed position
     built = []
     init = CumulativeIntegral.__init__
 
@@ -68,7 +69,7 @@ def test_closed_curve_report_builds_five_tables(knot, monkeypatch):
 
     monkeypatch.setattr(CumulativeIntegral, "__init__", counting)
     curve_report(knot)
-    assert len(built) == 5
+    assert len(built) == 4
 
 
 def test_circle_block_evaluates_the_curve_twice(monkeypatch):
