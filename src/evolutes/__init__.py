@@ -16,7 +16,7 @@ from .errors import (CuspPoint, DegenerateCurvature, DomainError,
                      IntegrationFailure, LengthMismatch, LineThroughEdge,
                      NotClosed, ParseError, PureTranslation, TorsionVanishes)
 from .evolute import (EvoluteCurve, conformal_torsion, evolute_curvature_torsion,
-                      evolute_point, evolute_singularities, interior_sign,
+                      evolute_singularities, interior_sign,
                       osculating_circle, osculating_circles_disjoint,
                       osculating_sphere, second_evolute_residual)
 from .expr import Expr, evaluate, parse, parse_curve, to_source
@@ -24,12 +24,11 @@ from .frenet import (ArclengthMap, CongruenceReport, FrenetEval, arclength,
                      indicatrix_geodesic_curvature, is_congruent, sigma_values,
                      total_absolute_torsion, total_curvature, total_torsion)
 from .monge import (MongeEvoluteCurve, MongeInvoluteCurve, envelope_meetings,
-                    monge_evolute_point, monge_evolutes_closed,
-                    monge_singularities, offset_angles, signed_length,
-                    string_residual)
+                    monge_evolutes_closed, monge_singularities, offset_angles,
+                    signed_length, string_residual)
 from .pseudo import (PseudoEvoluteCurve, PseudoInvoluteCurve, geodesic_residual,
-                     is_cylindrical, pseudo_evolute_point,
-                     pseudo_evolute_points, pseudo_singularities)
+                     is_cylindrical, pseudo_evolute_points,
+                     pseudo_singularities)
 from .report import curve_report, identity_residuals
 from .rolling import (Development, PlanarIsometry, TracedInvoluteCurve,
                       closed_involute, monodromy)

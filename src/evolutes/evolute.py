@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import EPS_TAU, Curve
+from .curves import EPS_K, EPS_TAU, Curve
 from .errors import TorsionVanishes
 from .frenet import FrenetEval, jet_sum, regular_eval
 from .roots import find_roots
 from .taylor import (arclength_derivative, jet_div, jet_mul, jet_recip)
 
 __all__ = [
-    "evolute_point", "EvoluteCurve", "evolute_singularities",
+    "EvoluteCurve", "evolute_singularities",
     "osculating_sphere", "osculating_circle",
     "evolute_curvature_torsion", "interior_sign", "conformal_torsion",
     "second_evolute_residual", "osculating_circles_disjoint",
@@ -36,21 +36,13 @@ def _evolute_jets(fe: FrenetEval, order: int) -> np.ndarray:
     return jet_sum(e, jet_mul(fe.rr, fe.B)[:m])
 
 
-def evolute_point(curve: Curve, t: float) -> np.ndarray:
-    """Center of the osculating sphere at t; raises on degeneracies."""
-    fe = regular_eval(curve, t, order=3)
-    if abs(fe.tau[0, 0]) <= EPS_TAU:
-        raise TorsionVanishes("evolute escapes to infinity", t=t)
-    return _evolute_jets(fe, 0)[0, 0].copy()
-
-
 class EvoluteCurve(Curve):
     """The evolute as a differentiable curve in its own right.
 
     Derivatives of any order are propagated through the defining jets, so
     the evolute can be fed back into every construction here, including a
-    second evolute.  Parameters where the base torsion vanishes evaluate to
-    non-finite entries.
+    second evolute.  Where k <= EPS_K or |tau| <= EPS_TAU it is at
+    infinity: nan rows in every order.
     """
 
     def __init__(self, base: Curve):
@@ -60,7 +52,10 @@ class EvoluteCurve(Curve):
     def derivatives(self, t, order: int) -> np.ndarray:
         fe = FrenetEval(self.base, t, order=order + 3)
         with np.errstate(all="ignore"):
-            return _evolute_jets(fe, order)
+            out = _evolute_jets(fe, order)
+            defined = (fe.k[0] > EPS_K) & (np.abs(fe.tau[0]) > EPS_TAU)
+        out[:, ~defined] = np.nan
+        return out
 
     def __repr__(self):
         return f"EvoluteCurve({self.base!r})"
@@ -77,11 +72,13 @@ def evolute_singularities(curve: Curve) -> tuple:
 
 
 def osculating_sphere(curve: Curve, t: float):
-    """Center and radius of the osculating sphere at t."""
-    center = evolute_point(curve, t)
-    fe = FrenetEval(curve, t, order=3)
-    radius = float(np.hypot(fe.r[0, 0], fe.rr[0, 0]))
-    return center, radius
+    """Center and radius of the osculating sphere at t; raises where not
+    defined."""
+    fe = regular_eval(curve, t, order=3)
+    if abs(fe.tau[0, 0]) <= EPS_TAU:
+        raise TorsionVanishes("evolute escapes to infinity", t=t)
+    center = _evolute_jets(fe, 0)[0, 0]
+    return center, float(np.hypot(fe.r[0, 0], fe.rr[0, 0]))
 
 
 def osculating_circle(curve: Curve, t: float):

@@ -26,22 +26,24 @@ import math
 import numpy as np
 
 from .curves import EPS_K, Curve
-from .errors import DegenerateCurvature, InfinityEscape
 from .frenet import ArclengthMap, FrenetEval, jet_sum, total_torsion
 from .roots import find_roots
 from .taylor import (arclength_derivative, jet_div, jet_dot, jet_mul,
                      jet_sin_cos, jet_sqrt)
 
 __all__ = [
-    "MongeEvoluteCurve", "monge_evolute_point", "monge_singularities",
+    "EPS_COS", "MongeEvoluteCurve", "monge_singularities",
     "monge_evolutes_closed", "MongeInvoluteCurve",
     "string_residual", "distance_identity_residual", "polar_line_residual",
     "offset_angles", "envelope_meetings", "signed_length",
 ]
 
+EPS_COS = 1e-12     # |cos alpha| at or below this: the string is binormal
+
 
 class MongeEvoluteCurve(Curve):
-    """One Monge evolute of the base curve, selected by the start angle."""
+    """One Monge evolute of the base curve, selected by the start angle;
+    nan rows where it is at infinity (k <= EPS_K, |cos alpha| <= EPS_COS)."""
 
     def __init__(self, base: Curve, alpha0: float = 0.0, closed=False,
                  cusps=()):
@@ -63,20 +65,13 @@ class MongeEvoluteCurve(Curve):
             tan_j = jet_div(sin_j, cos_j)
             m = order + 1
             eta = jet_sum(fe.x[:m], jet_mul(fe.r, fe.N)[:m])
-            return jet_sum(eta, -jet_mul(jet_mul(fe.r, tan_j), fe.B)[:m])
+            out = jet_sum(eta, -jet_mul(jet_mul(fe.r, tan_j), fe.B)[:m])
+            defined = (fe.k[0] > EPS_K) & (np.abs(cos_j[0]) > EPS_COS)
+        out[:, ~defined] = np.nan
+        return out
 
     def __repr__(self):
         return f"MongeEvoluteCurve({self.base!r}, alpha0={self.alpha0})"
-
-
-def monge_evolute_point(evolute: MongeEvoluteCurve, t: float) -> np.ndarray:
-    """Point of the Monge evolute at t; raises where it is at infinity."""
-    fe = FrenetEval(evolute.base, t, order=2)
-    if not fe.k[0, 0] > EPS_K:
-        raise DegenerateCurvature("curvature vanishes", t=t)
-    if abs(math.cos(float(evolute.alpha(t)))) <= 1e-12:
-        raise InfinityEscape("string direction is binormal", t=t)
-    return evolute.derivatives(t, 0)[0, 0].copy()
 
 
 def monge_singularities(evolute: MongeEvoluteCurve) -> tuple:

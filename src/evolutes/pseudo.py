@@ -28,18 +28,19 @@ rectifying developable and no pseudo-evolute at all.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 from .curves import CONSTANT_SPREAD, Curve
-from .errors import InfinityEscape, LineThroughEdge
+from .errors import LineThroughEdge
 from .frenet import FrenetEval, jet_sum
 from .roots import find_roots
 from .taylor import arclength_derivative, jet_div, jet_mul, jet_sin_cos
 
 __all__ = [
-    "pseudo_evolute_point", "pseudo_evolute_points", "PseudoEvoluteCurve",
+    "pseudo_evolute_points", "PseudoEvoluteCurve",
     "pseudo_singularities", "is_cylindrical", "is_constant",
     "geodesic_residual", "PseudoInvoluteCurve",
 ]
@@ -67,33 +68,29 @@ def _escape_threshold(fe: FrenetEval):
 _LIMIT_ORDER = 10
 
 
-def pseudo_evolute_point(curve: Curve, t: float) -> np.ndarray:
-    """Pseudo-evolute point at t, taking the limit at removable 0/0 points.
-
-    Raises InfinityEscape where the rectifying developable has no edge
-    point: at zeros of (tau/k)' and wherever the numerator fails to vanish
-    to the same order as the denominator.
-    """
-    fe = FrenetEval(curve, t, order=4)
-    W, E = _numerator_denominator(fe)
-    if abs(E[0, 0]) > _escape_threshold(fe)[0]:
-        return (fe.x[0, 0] + W[0, 0] / E[0, 0]).copy()
-    fe = FrenetEval(curve, t, order=_LIMIT_ORDER + 4)
-    W, E = _numerator_denominator(fe)
-    e_col, w_col = E[:, 0], W[:, 0]
-    scale_e = np.max(np.abs(e_col))
-    scale_w = np.max(np.abs(w_col))
-    if scale_e == 0.0:
-        raise InfinityEscape("rectifying planes are stationary", t=t)
-    lead = np.nonzero(np.abs(e_col) > 1e-6 * scale_e)[0]
-    if lead.size == 0:
-        raise InfinityEscape("rectifying planes are stationary", t=t)
-    j = int(lead[0])
-    clean_below = (np.all(np.abs(e_col[:j]) <= 1e-9 * scale_e)
-                   and np.all(np.abs(w_col[:j]) <= 1e-9 * scale_w))
-    if not clean_below:
-        raise InfinityEscape("pseudo-evolute escapes to infinity", t=t)
-    return (fe.x[0, 0] + w_col[j] / e_col[j]).copy()
+def _limit_jets(curve: Curve, t, order: int) -> np.ndarray:
+    """Jets at removable 0/0 points t: W and E over (t - t0)^j, j the order
+    to which both vanish in their jets to _LIMIT_ORDER; nan rows where E
+    vanishes to every order read, or W to fewer orders than E."""
+    m = order + 1
+    fe = FrenetEval(curve, t, order=order + _LIMIT_ORDER + 4)
+    out = np.full((m, len(fe.t), 3), np.nan)
+    with np.errstate(all="ignore"):
+        W, E = _numerator_denominator(fe)
+        e = np.abs(E[: _LIMIT_ORDER + 1])
+        w = np.max(np.abs(W[: _LIMIT_ORDER + 1]), axis=-1)
+        j = np.argmax(e > 1e-6 * e.max(axis=0), axis=0)
+        noise = (e <= 1e-9 * e.max(axis=0)) & (w <= 1e-9 * w.max(axis=0))
+        below = np.arange(_LIMIT_ORDER + 1)[:, None] < j
+        ok = (e.max(axis=0) > 0.0) & (noise | ~below).all(axis=0)
+        for jj in np.unique(j[ok]):
+            rows = ok & (j == jj)
+            # jj! times the derivative jets of W and E over (t - t0)^jj
+            c = np.array([math.comb(i + jj, i) for i in range(m)])[:, None]
+            ratio = jet_div(W[jj: jj + m, rows] / c[..., None],
+                            E[jj: jj + m, rows] / c)
+            out[:, rows] = fe.x[:m, rows] + ratio
+    return out
 
 
 def pseudo_evolute_points(curve: Curve, ts) -> np.ndarray:
@@ -107,7 +104,8 @@ def pseudo_evolute_points(curve: Curve, ts) -> np.ndarray:
 
 
 class PseudoEvoluteCurve(Curve):
-    """The pseudo-evolute as a differentiable curve."""
+    """The pseudo-evolute as a differentiable curve; where W and E are both
+    0 to rounding, as at a curve cusp, its jets are their limit's."""
 
     def __init__(self, base: Curve):
         super().__init__(base.domain, base.closed)
@@ -115,10 +113,19 @@ class PseudoEvoluteCurve(Curve):
 
     def derivatives(self, t, order: int) -> np.ndarray:
         fe = FrenetEval(self.base, t, order=order + 4)
+        m = order + 1
         with np.errstate(all="ignore"):
             W, E = _numerator_denominator(fe)
-            m = order + 1
-            return jet_sum(fe.x[:m], jet_div(W, E)[:m])
+            out = jet_sum(fe.x[:m], jet_div(W, E)[:m])
+            # W's rounding level: 2e-12 times the sizes of its terms
+            u, q = fe.u[0], fe.q[0]
+            w_tiny = 2e-12 * q * (u * np.abs(fe.p[0]) * np.sqrt(u)
+                                  + q * np.sqrt(q))
+            removable = ((np.abs(E[0]) <= _escape_threshold(fe))
+                         & (np.max(np.abs(W[0]), axis=-1) <= w_tiny))
+        if removable.any():
+            out[:, removable] = _limit_jets(self.base, fe.t[removable], order)
+        return out
 
     def __repr__(self):
         return f"PseudoEvoluteCurve({self.base!r})"

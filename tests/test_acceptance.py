@@ -11,18 +11,17 @@ import numpy as np
 
 from evolutes import preset, preset_names
 from evolutes.curves import ExprCurve, FrenetODECurve
-from evolutes.evolute import (EvoluteCurve, evolute_point,
-                              evolute_singularities,
+from evolutes.evolute import (EvoluteCurve, evolute_singularities,
                               osculating_circles_disjoint,
                               second_evolute_residual)
 from evolutes.frenet import (FrenetEval, is_congruent, sigma_values,
                              total_absolute_torsion, total_curvature)
 from evolutes.monge import (MongeEvoluteCurve, MongeInvoluteCurve,
                             distance_identity_residual, envelope_meetings,
-                            monge_evolute_point, offset_angles,
-                            polar_line_residual, string_residual)
+                            offset_angles, polar_line_residual,
+                            string_residual)
 from evolutes.pseudo import (PseudoEvoluteCurve, is_cylindrical,
-                             pseudo_evolute_point, pseudo_singularities)
+                             pseudo_singularities)
 from evolutes.rolling import closed_involute, monodromy
 from evolutes.taylor import arclength_derivative
 
@@ -34,8 +33,9 @@ def _pass(number: int, message: str) -> None:
 def test_criterion_01_cusp_curve_evolute_closed_form(cusp_curve):
     ts = [1.0, -1.0, 0.5, -0.5, 0.25, -0.25] + [0.1 * k for k in range(1, 11)]
     worst = 0.0
+    evolute = EvoluteCurve(cusp_curve)
     for t in ts:
-        got = evolute_point(cusp_curve, t)
+        got = evolute.point(t)
         want = np.array([4.5 * t**4 + 20.0 * t**6,
                          -8.0 * t**3 - 32.0 * t**5,
                          0.5 + 4.5 * t**2 + 15.0 * t**4])
@@ -61,14 +61,15 @@ def test_criterion_02_cusp_curve_pseudo_evolute_closed_form(cusp_curve):
     ts = np.linspace(-0.95, 0.95, 50)
     assert np.min(np.abs(np.abs(ts) - 1.0 / math.sqrt(2.0))) > 1e-2
     worst = 0.0
+    pseudo = PseudoEvoluteCurve(cusp_curve)
     for t in ts:
-        got = pseudo_evolute_point(cusp_curve, float(t))
+        got = pseudo.point(float(t))
         want = _monster(t)
         rel = np.max(np.abs(got - want)
                      / np.maximum(np.abs(want), 1e-12))
         worst = max(worst, rel)
     assert worst <= 1e-8
-    at_zero = pseudo_evolute_point(cusp_curve, 0.0)
+    at_zero = pseudo.point(0.0)
     gap = np.max(np.abs(at_zero - np.array([24.0 / 175.0, 0.0, 27.0 / 350.0])))
     assert gap <= 1e-12
     _pass(2, f"pseudo-evolute closed form, max rel err {worst:.2e}, "
@@ -244,12 +245,13 @@ def test_criterion_13_monge_evolute_suite(knot):
         angle_dev = max(angle_dev, float(np.max(np.abs(angles - want))))
     assert angle_dev <= 1e-6
     meet_gap = 0.0
+    evolute = EvoluteCurve(knot)
     for a, ev in evs.items():
         meets = envelope_meetings(ev)
         assert len(meets) > 0
         for t in meets:
-            gap = np.linalg.norm(monge_evolute_point(ev, float(t))
-                                 - evolute_point(knot, float(t)))
+            gap = np.linalg.norm(ev.point(float(t))
+                                 - evolute.point(float(t)))
             meet_gap = max(meet_gap, float(gap))
     assert meet_gap <= 1e-5
     _pass(13, f"string suite max resid {max(figures):.2e}, angle dev "

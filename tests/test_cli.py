@@ -271,6 +271,43 @@ def test_closed_pseudo_evolute_is_bounded_at_the_seam(name, tmp_path):
     assert np.max(np.abs(_csv(out)[:, 1:4])) <= 1e3
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the torsion zeros 0.7 +- 1e-4 lie inside one interval of the scan, "
+    "so no escape is found and the evolute is drawn through both, out to "
+    "7e7"))
+def test_close_torsion_zeros_exit_3(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert entry(["evolute", "--ktau", "1+t;(t-0.7)^2-1e-8", "--range",
+                  "0:1", "--samples", "4096", "--out", str(out)]) == 3
+    assert "at t≈0.6999" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a pole of the curve is not a singularity: the scan's grid point "
+    "lands on it and the division by zero exits 2 as a usage error"))
+def test_pole_on_the_scan_grid_exits_3(tmp_path):
+    assert entry(["evolute", "--expr", "t,1/t,t^2", "--range", "-1:1",
+                  "--out", str(tmp_path / "e.csv")]) == 3
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a pole of the curve is not a branch cut: the rows on either side of "
+    "it, at t = -0.0008 and 0.0015, are joined"))
+def test_pole_inside_the_range_cuts_the_rows(tmp_path):
+    # exit 3, or branches cut at the pole: the CSV concatenates branches,
+    # so the rows next to t = 0 keep branch_grids' margin from it
+    out = tmp_path / "e.csv"
+    code = entry(["evolute", "--expr", "t,1/t,t^2", "--range", "-1:1.3",
+                  "--samples", "1000", "--out", str(out)])
+    if code != 0:
+        assert code == 3
+        return
+    t = _csv(out)[:, 0]
+    straddle = np.flatnonzero((t[:-1] < 0.0) & (t[1:] > 0.0))
+    margin = 1e-3 * 2.3
+    assert np.all(-t[straddle] >= margin) and np.all(t[straddle + 1] >= margin)
+
+
 def test_developable_obj(tmp_path):
     out = tmp_path / "d.obj"
     assert entry(["developable", "--preset", "torus-knot", "--kind",

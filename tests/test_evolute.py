@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from evolutes import preset
-from evolutes.curves import ExprCurve
+from evolutes.curves import EPS_TAU, ExprCurve
 from evolutes.errors import CuspPoint
 from evolutes.evolute import (EvoluteCurve, conformal_torsion,
                               evolute_curvature_torsion,
@@ -140,6 +140,16 @@ def test_evolute_escapes_of_figure_eight(fig8):
     escapes, _ = evolute_singularities(fig8)
     want = np.array([1.0, 3.0, 5.0, 7.0]) * math.pi / 4.0
     np.testing.assert_allclose(escapes, want, atol=1e-9)
+
+
+def test_evolute_rows_at_torsion_zeros_are_nan(fig8):
+    # the sphere center is at infinity where tau vanishes: nan in every
+    # order, and finite rows between the zeros
+    ts = np.array([1.0, 3.0, 5.0, 7.0]) * math.pi / 4.0
+    assert np.all(np.abs(FrenetEval(fig8, ts, order=3).tau[0]) <= EPS_TAU)
+    jets = EvoluteCurve(fig8).derivatives(np.append(ts, 0.1), 2)
+    assert np.isnan(jets[:, :4]).all()
+    assert np.isfinite(jets[:, 4]).all()
 
 
 def test_osculating_circle_values(helix):

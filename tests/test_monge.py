@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from evolutes.curves import ExprCurve
-from evolutes.errors import InfinityEscape
-from evolutes.evolute import EvoluteCurve, evolute_point
+from evolutes.evolute import EvoluteCurve
 from evolutes.frenet import FrenetEval
 from evolutes.monge import (MongeEvoluteCurve, MongeInvoluteCurve,
                             distance_identity_residual, envelope_meetings,
-                            monge_evolute_point, monge_evolutes_closed,
-                            monge_singularities, offset_angles,
-                            polar_line_residual, signed_length,
-                            string_residual)
+                            monge_evolutes_closed, monge_singularities,
+                            offset_angles, polar_line_residual,
+                            signed_length, string_residual)
 from evolutes.pseudo import PseudoEvoluteCurve
 
 ALPHAS = (0.0, 0.3, 0.6)
@@ -43,8 +41,8 @@ def test_escapes_are_cosine_zeros(knot):
     # alpha sweeps the total torsion, crossing pi/2 + m pi eight times
     assert len(esc) == 8
     np.testing.assert_allclose(np.cos(ev.alpha(esc)), 0.0, atol=1e-9)
-    with pytest.raises(InfinityEscape):
-        monge_evolute_point(ev, float(esc[0]))
+    # the evolute is at infinity there: nan rows in every order
+    assert np.isnan(ev.derivatives(esc, 2)).all()
 
 
 def test_cusps_are_critical_points_of_k_cos_alpha(knot):
@@ -86,9 +84,10 @@ def test_envelope_meetings_touch_the_sphere_evolute(knot):
     ev = MongeEvoluteCurve(knot, 0.4)
     meets = envelope_meetings(ev)
     assert len(meets) > 0
+    evolute = EvoluteCurve(knot)
     for t in meets:
-        np.testing.assert_allclose(monge_evolute_point(ev, float(t)),
-                                   evolute_point(knot, float(t)), atol=1e-7)
+        np.testing.assert_allclose(ev.point(float(t)),
+                                   evolute.point(float(t)), atol=1e-7)
 
 
 def test_involute_offsets_are_tangent_with_string_length(knot):

@@ -5,31 +5,62 @@ import warnings
 import numpy as np
 import pytest
 
-from evolutes.errors import InfinityEscape, LineThroughEdge
+from evolutes.errors import LineThroughEdge
 from evolutes.frenet import FrenetEval
 from evolutes.pseudo import (PseudoEvoluteCurve, PseudoInvoluteCurve,
                              geodesic_residual, is_cylindrical,
-                             pseudo_evolute_point, pseudo_evolute_points,
-                             pseudo_singularities)
+                             pseudo_evolute_points, pseudo_singularities)
 
 
 def test_cusp_curve_rational_values(cusp_curve):
     # frozen rationals for (t^2, t^3, t^4), checked against the limit of the
     # rectifying plane family
+    pseudo = PseudoEvoluteCurve(cusp_curve)
     want_t1 = np.array([-16628.0 / 1575.0, 136.0 / 27.0, -34019.0 / 3150.0])
-    np.testing.assert_allclose(pseudo_evolute_point(cusp_curve, 1.0),
-                               want_t1, rtol=1e-12)
+    np.testing.assert_allclose(pseudo.point(1.0), want_t1, rtol=1e-12)
     # removable 0/0 at the cusp parameter itself
     want_t0 = np.array([24.0 / 175.0, 0.0, 27.0 / 350.0])
-    np.testing.assert_allclose(pseudo_evolute_point(cusp_curve, 0.0),
-                               want_t0, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(pseudo.point(0.0), want_t0, rtol=1e-10,
+                               atol=1e-12)
 
 
 def test_cusp_curve_limit_agrees_with_side_approach(cusp_curve):
-    want = pseudo_evolute_point(cusp_curve, 0.0)
+    pseudo = PseudoEvoluteCurve(cusp_curve)
+    want = pseudo.point(0.0)
     for t in (1e-4, -1e-4):
-        got = pseudo_evolute_point(cusp_curve, t)
+        got = pseudo.point(t)
         np.testing.assert_allclose(got, want, atol=1e-6)
+
+
+def test_cusp_curve_limit_jets_agree_with_side_approach(cusp_curve):
+    # the jets of the limit, orders 0-2, against the quotient's a step h
+    # to either side; closer in, the quotient's second derivative is
+    # rounding noise
+    pseudo = PseudoEvoluteCurve(cusp_curve)
+    at_zero = pseudo.derivatives(0.0, 2)[:, 0]
+    # the closed form of acceptance criterion 2 is even in t
+    want = [[0.0, 0.0, 0.0], [512.0 / 105.0, 0.0, 96.0 / 35.0]]
+    np.testing.assert_allclose(at_zero[1:], want, atol=1e-9)
+    for h in (1e-2, 1e-3):
+        sides = pseudo.derivatives(np.array([-h, h]), 2)
+        np.testing.assert_allclose(sides, at_zero[:, None].repeat(2, axis=1),
+                                   atol=10.0 * h)
+
+
+def test_point_pass_takes_no_limit_at_the_seam(knot, monkeypatch):
+    # the seam rows of the closed knot are escapes, not removable 0/0
+    # points, so one order-4 pass of the base serves every row
+    pseudo = PseudoEvoluteCurve(knot)
+    calls = []
+    derivatives = knot.derivatives
+
+    def counting(ts, order):
+        calls.append(order)
+        return derivatives(ts, order)
+
+    monkeypatch.setattr(knot, "derivatives", counting)
+    pseudo.point(knot.grid(1024))
+    assert calls == [4]
 
 
 def test_vectorized_points_mark_escapes(cusp_curve):
@@ -59,8 +90,6 @@ def test_figure_eight_census(fig8):
 def test_cylindrical_curves_have_no_pseudo_evolute(helix, knot):
     assert is_cylindrical(helix)
     assert not is_cylindrical(knot)
-    with pytest.raises(InfinityEscape):
-        pseudo_evolute_point(helix, 1.0)
     pts = pseudo_evolute_points(helix, np.linspace(0.5, 5.5, 7))
     assert not np.isfinite(pts).any()
 

@@ -3,6 +3,7 @@ closed-curve seams, and several scan functions sharing one search."""
 import math
 
 import numpy as np
+import pytest
 
 from evolutes import FrenetEval
 from evolutes.roots import _ROUNDS, find_roots
@@ -101,6 +102,14 @@ def test_tight_cluster_resolved():
 
     roots = find_roots(f, 0.0, 3.0)
     np.testing.assert_allclose(roots, [1.0, 1.01, 2.5], atol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "both roots lie inside one scan interval, at whose ends f has one "
+    "sign, so the scan steps over the pair and returns none"))
+def test_close_pair_inside_one_scan_interval():
+    roots = find_roots(lambda t: (t - 0.7) ** 2 - 1e-8, 0.0, 1.0)
+    np.testing.assert_allclose(roots, [0.7 - 1e-4, 0.7 + 1e-4], atol=1e-9)
 
 
 def test_oscillation_gives_one_root_per_scan_bracket():
