@@ -30,6 +30,9 @@ from .rolling import Development, TracedInvoluteCurve, closed_involute
 __all__ = ["RunConfig", "build_curve", "entry"]
 
 _FORMATS = ("csv", "obj", "svg", "json")
+# 64 times the densest sampling of the figures and the benchmark (65536); a
+# count beyond it is refused before any array is allocated
+_MAX_SAMPLES = 2**22
 
 
 @dataclass
@@ -53,6 +56,8 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 16:
             raise ValueError("--samples must be at least 16")
+        if self.samples > _MAX_SAMPLES:
+            raise ValueError(f"--samples must be at most {_MAX_SAMPLES}")
         if self.domain is not None:
             a, b = self.domain
             if not b > a:

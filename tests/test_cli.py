@@ -109,6 +109,10 @@ def test_usage_errors_exit_2(argv, capsys):
      "--alpha0"),
     (["monge-evolute", "--preset", "torus-knot", "--alpha0", "-nan"], "--alpha0"),
     (["monge-involute", "--preset", "helix", "--length", "-NaN"], "--length"),
+    # checked before any array is allocated
+    (["evolute", "--preset", "helix", "--samples", "4194305"], "--samples"),
+    (["evolute", "--preset", "helix", "--samples", "100000000000"],
+     "--samples"),
 ])
 def test_unusable_numbers_exit_2_naming_the_option(argv, flag, tmp_path,
                                                    capsys):
@@ -306,6 +310,26 @@ def test_pole_inside_the_range_cuts_the_rows(tmp_path):
     straddle = np.flatnonzero((t[:-1] < 0.0) & (t[1:] > 0.0))
     margin = 1e-3 * 2.3
     assert np.all(-t[straddle] >= margin) and np.all(t[straddle + 1] >= margin)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a pole of the curve is not a cut for report: arclength refuses the "
+    "interval, but total_curvature (2.595) and total_torsion (2.910) are "
+    "integrated across the pole"))
+def test_report_across_a_pole_integrates_no_total(tmp_path):
+    # exit 3, or every total refused with its reason
+    out = tmp_path / "r.json"
+    code = entry(["report", "--expr", "t,1/t,t^2", "--range", "-1:1.3",
+                  "--out", str(out)])
+    if code != 0:
+        assert code == 3
+        return
+    payload = json.loads(out.read_text())
+    for key in ("arclength", "total_curvature", "total_torsion",
+                "total_absolute_torsion"):
+        refused = payload[key]
+        assert refused is None or (isinstance(refused, dict) and {
+            "error", "reason"} & set(refused)), key
 
 
 def test_developable_obj(tmp_path):

@@ -1,14 +1,18 @@
-"""File writers: round-trip precision, determinism, atomicity."""
+"""File writers: round-trip precision, determinism, atomicity, and the
+array formatter against repr, byte for byte."""
 import io
 import math
+import pathlib
+import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from evolutes.envelope import developable_patch
-from evolutes.exporters import (atomic_write, render_csv, render_json,
-                                render_obj, render_svg)
+from evolutes.exporters import (_BLOCK, _text, atomic_write, render_csv,
+                                render_json, render_obj, render_svg)
 
 
 def test_csv_roundtrips_full_precision():
@@ -67,11 +71,12 @@ def _layout(table, sep):
 
 
 def _table(rows, columns):
-    # rows past one tolist() chunk of 4096, special values at its seams
+    # rows past one block of the formatter, special values at its seams
     rng = np.random.default_rng(11)
     table = (rng.standard_normal((rows, columns))
              * 10.0 ** rng.uniform(-300.0, 300.0, (rows, columns)))
-    for i, row in enumerate([0, 4095, 4096, 8191, 8192, rows - 1]):
+    per = _BLOCK // columns
+    for i, row in enumerate([0, per - 1, per, 2 * per - 1, 2 * per, rows - 1]):
         table[row] = np.roll(_SPECIAL, i)[:columns]
     return table
 
@@ -95,7 +100,8 @@ def test_rows_past_one_chunk_keep_a_per_number_layout():
     rng = np.random.default_rng(12)
     branch = (rng.standard_normal((10_000, 2))
               * 10.0 ** rng.uniform(-20.0, 20.0, (10_000, 2)))
-    branch[[0, 4095, 4096, 9999], 0] = [-0.0, 5e-324, 0.0, -5e-324]
+    per = _BLOCK // 2
+    branch[[0, per - 1, per, 9999], 0] = [-0.0, 5e-324, 0.0, -5e-324]
     lo, hi = branch.min(axis=0), branch.max(axis=0)
     xs = (branch[:, 0] - lo[0]) * 100.0 + 10.0
     ys = (hi[1] - branch[:, 1]) * 100.0 + 10.0
@@ -146,3 +152,104 @@ def test_export_is_deterministic(tmp_path):
     atomic_write(p1, render_csv(ts, pts))
     atomic_write(p2, render_csv(ts, pts))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ----------------------------------------------- the formatter against repr
+#
+# The loop the exporters used before the array formatter: one repr per
+# number.  It is the oracle, byte for byte.
+
+def _rows(table, sep, prefix=""):
+    lines = []
+    for start in range(0, len(table), 4096):
+        lines += [prefix + sep.join(map(repr, row))
+                  for row in table[start:start + 4096].tolist()]
+    return lines
+
+
+def _assert_as_repr(values, columns=4):
+    table = np.asarray(values).reshape(-1, columns)
+    got = _text((table.T, ",", "\n", "\n"))
+    want = "\n".join(_rows(table, ",")) + "\n"
+    if got != want:
+        bad = next(i for i, (a, b) in enumerate(
+            zip(got.split("\n"), want.split("\n"))) if a != b)
+        pytest.fail(f"row {bad}: {got.split(chr(10))[bad]!r} != "
+                    f"{want.split(chr(10))[bad]!r}")
+
+
+def check_random_patterns(count, seed=0, batch=10**6):
+    """count random bit patterns, every exponent and both signs, against
+    repr; CI runs it at 10**7 on the numpy floor and on the latest numpy."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, batch):
+        size = min(batch, count - start)
+        _assert_as_repr(rng.integers(0, 2**64, size - size % 4,
+                                     dtype=np.uint64, endpoint=False)
+                        .view(np.float64))
+
+
+def test_random_bit_patterns_as_repr():
+    check_random_patterns(10**6)
+
+
+def test_smallest_subnormals_of_both_signs_as_repr():
+    bits = np.arange(1, 2**20 + 1, dtype=np.uint64)
+    _assert_as_repr(np.concatenate([bits, bits | np.uint64(2**63)])
+                    .view(np.float64))
+
+
+def test_layout_edges_as_repr():
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+             1e-05, 0.0001, 1e16, 9.999999999999999e15, 1e-4 * (1 - 2**-53),
+             123456789012345680.0, 0.1, 100.0, 1.5, 12345.678, 1e22, 1e23,
+             1e-100, -1.5e300, 2.5e-200, 1.7976931348623157e308,
+             2.2250738585072014e-308, 2.225073858507201e-308]
+    _assert_as_repr(edges, columns=1)
+
+
+def test_powers_of_two_as_repr():
+    # c = 2**52: the next double down is half as far away (Schubfach's
+    # irregular spacing); their neighbours on either side too
+    bits = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+    bits = np.concatenate([bits, bits + np.uint64(1), bits - np.uint64(1)])
+    _assert_as_repr(np.concatenate([bits, bits | np.uint64(2**63)])
+                    .view(np.float64), columns=2)
+
+
+def test_schubfach_pitfalls_as_repr():
+    # Java's C_TINY path would give 4.9e-324, its s >= 100 guard 7.9e-323;
+    # f of 0.5 is 5 * 10**16, 16 trailing zeros to drop
+    assert _text(([[5e-324], [2.0**-1070], [0.5]], " ", "", "")) == (
+        "5e-324 8e-323 0.5")
+
+
+def test_integer_tables_as_repr():
+    faces = np.arange(1, 4097 * 4 + 1).reshape(-1, 4)
+    wide = np.array([[0, -1, 10**16, -(10**17 - 1)], [9, 10, 99, 100]])
+    for table in (faces, faces[::-1].copy(), wide, faces.astype(np.int32)):
+        assert _text((table.T, " ", "\nf ", "\n")) == (
+            "\n".join(_rows(table, " ")).replace("\n", "\nf ") + "\n")
+
+
+def test_every_number_of_the_outputs_as_repr():
+    root = pathlib.Path(__file__).resolve().parents[1] / "outputs"
+    numbers = [float(tok) for path in sorted(root.iterdir())
+               for tok in re.findall(r"-?\d+\.\d+(?:e[-+]\d+)?|-?\d+e[-+]\d+",
+                                     path.read_text())]
+    assert len(numbers) > 50_000
+    _assert_as_repr(numbers[:len(numbers) // 4 * 4])
+
+
+def test_rendering_peaks_below_two_and_a_half_times_its_text():
+    rng = np.random.default_rng(3)
+    ts = np.sort(rng.uniform(0, 10, 65536))
+    pts = rng.standard_normal((65536, 3))
+    extras = [(name, rng.standard_normal(65536)) for name in ("k", "tau", "s")]
+    tracemalloc.start()
+    try:
+        text = render_csv(ts, pts, extras)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
