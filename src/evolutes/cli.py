@@ -21,7 +21,6 @@ from .errors import DomainError, GeometryError, ParseError
 from .envelope import developable_patch
 from .exporters import atomic_write, render_csv, render_json, render_obj, \
     render_svg
-from .expr import _SLICE
 from .frenet import FrenetEval
 from .monge import MongeInvoluteCurve
 from .report import curve_report, monodromy_block
@@ -117,46 +116,18 @@ def _write(cfg: RunConfig, text: str) -> int:
     return 0
 
 
-def _emit_polyline(cfg: RunConfig, segments) -> int:
-    """segments: list of (ts, points) branches, already singularity-free."""
-    fmt = _choose_format(cfg, "csv", ("csv", "svg"))
-    if fmt == "csv":
-        ts = np.concatenate([seg[0] for seg in segments])
-        pts = np.concatenate([seg[1] for seg in segments])
-        return _write(cfg, render_csv(ts, pts))
-    planar = [np.asarray(p)[:, :2] for _, p in segments]
-    return _write(cfg, render_svg(planar, scale=cfg.svg_scale))
-
-
-def _finite_rows(ts, pts):
+def _emit_polyline(cfg: RunConfig, grids, point) -> int:
+    """The finite points of each branch grid (already singularity-free),
+    from one point call on all of them."""
+    ts = np.concatenate(grids)
+    pts = point(ts)
     good = np.isfinite(pts).all(axis=-1)
-    return ts[good], pts[good]
-
-
-def _pass_groups(grids):
-    """Consecutive branch grids gathered into groups of at most one jets
-    pass (expr._SLICE parameters) each; a branch is never split, so a
-    longer one is a group of its own."""
-    groups, size = [], 0
-    for ts in grids:
-        if groups and size + len(ts) <= _SLICE:
-            groups[-1].append(ts)
-            size += len(ts)
-        else:
-            groups.append([ts])
-            size = len(ts)
-    return groups
-
-
-def _branch_points(point, grids):
-    """(ts, finite points) of each branch, one point call per group of
-    branches: per call, the cost of a pass is mostly fixed overhead."""
-    segments = []
-    for group in _pass_groups(grids):
-        pts = point(np.concatenate(group))
-        ends = np.cumsum([len(ts) for ts in group])[:-1]
-        segments += map(_finite_rows, group, np.split(pts, ends))
-    return segments
+    if _choose_format(cfg, "csv", ("csv", "svg")) == "csv":
+        return _write(cfg, render_csv(ts[good], pts[good]))
+    ends = np.cumsum([len(g) for g in grids])[:-1]
+    planar = [p[ok, :2] for p, ok in zip(np.split(pts, ends),
+                                         np.split(good, ends))]
+    return _write(cfg, render_svg(planar, scale=cfg.svg_scale))
 
 
 def _require_finite(ts, pts, what: str):
@@ -190,7 +161,7 @@ def _cmd_construction(cfg: RunConfig, curve: Curve, construction) -> int:
     if verdict.error is not None:
         raise verdict.error
     grids = branch_grids(curve.domain, verdict.cuts, cfg.samples)
-    return _emit_polyline(cfg, _branch_points(verdict.point, grids))
+    return _emit_polyline(cfg, grids, verdict.point)
 
 
 def _cmd_monge_involute(cfg: RunConfig, curve: Curve) -> int:
@@ -198,14 +169,13 @@ def _cmd_monge_involute(cfg: RunConfig, curve: Curve) -> int:
         raise ValueError("monge-involute requires --length")
     inv = MongeInvoluteCurve(curve, cfg.length, signed=cfg.signed)
     grids = branch_grids(curve.domain, curve.cusps, cfg.samples)
-    return _emit_polyline(cfg, _branch_points(inv.point, grids))
+    return _emit_polyline(cfg, grids, inv.point)
 
 
 def _cmd_involute(cfg: RunConfig, curve: Curve) -> int:
     gamma = (closed_involute(curve) if cfg.point is None
              else TracedInvoluteCurve(curve, cfg.point))
-    ts = gamma.grid(cfg.samples)
-    return _emit_polyline(cfg, [(ts, gamma.point(ts))])
+    return _emit_polyline(cfg, [gamma.grid(cfg.samples)], gamma.point)
 
 
 def _cmd_developable(cfg: RunConfig, curve: Curve) -> int:

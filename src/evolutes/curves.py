@@ -58,9 +58,13 @@ class Curve:
         return np.linalg.norm(self.derivatives(t, 1)[1], axis=-1)
 
     def point(self, t) -> np.ndarray:
-        scalar = np.ndim(t) == 0
-        p = self.derivatives(t, 0)[0]
-        return p[0] if scalar else p
+        """Points at t; an array goes through derivatives in passes of at
+        most expr._SLICE parameters, so a caller never builds a larger one."""
+        if np.ndim(t) == 0:
+            return self.derivatives(t, 0)[0, 0]
+        t = np.asarray(t, dtype=float)
+        return np.concatenate([self.derivatives(t[lo:lo + ex._SLICE], 0)[0]
+                               for lo in range(0, max(len(t), 1), ex._SLICE)])
 
     def grid(self, samples: int) -> np.ndarray:
         a, b = self.domain

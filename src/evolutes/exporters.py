@@ -404,25 +404,25 @@ def render_svg(branches, scale: float = 100.0, pad: float = 10.0) -> str:
     """
     branches = [np.asarray(b, dtype=float).reshape(-1, 2) for b in branches]
     drawn = [b for b in branches if len(b) >= 2]
-    if drawn:
-        lo = np.min([b.min(axis=0) for b in drawn], axis=0)
-        hi = np.max([b.max(axis=0) for b in drawn], axis=0)
-    else:
-        lo = hi = np.zeros(2)
+    pts = np.concatenate([np.empty((0, 2)), *drawn])
+    lo, hi = ((pts.min(axis=0), pts.max(axis=0)) if len(pts)
+              else (np.zeros(2), np.zeros(2)))
     size = (hi - lo) * scale + 2 * pad
-    width, height = _text(([size[:1], size[1:]], " ", "", "")).split()
-    parts = [
+    xs = (pts[:, 0] - lo[0]) * scale + pad
+    ys = (hi[1] - pts[:, 1]) * scale + pad
+    # one table for the document: its size, then every branch's points
+    rows = _text(([np.r_[size[0], xs], np.r_[size[1], ys]], " ", "\n",
+                  "")).split("\n")
+    width, height = rows[0].split()
+    ends = np.cumsum([1] + [len(b) for b in drawn]).tolist()
+    return "".join([
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n'
-    ]
-    for branch in drawn:
-        xs = (branch[:, 0] - lo[0]) * scale + pad
-        ys = (hi[1] - branch[:, 1]) * scale + pad
-        parts += ['  <path d="M ', ((xs, ys), " ", " L ", ""),
-                  '" fill="none" stroke="black" stroke-width="1.5"/>\n']
-    parts.append("</svg>\n")
-    return _text(*parts)
+        f'height="{height}" viewBox="0 0 {width} {height}">\n',
+        *('  <path d="M ' + " L ".join(rows[i:j])
+          + '" fill="none" stroke="black" stroke-width="1.5"/>\n'
+          for i, j in zip(ends[:-1], ends[1:])),
+        "</svg>\n"])
 
 
 def _plain(value):

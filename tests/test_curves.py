@@ -8,7 +8,11 @@ import sympy as sp
 
 from evolutes import preset, preset_names
 from evolutes.curves import ExprCurve, FrenetODECurve, branch_grids
+from evolutes.evolute import EvoluteCurve
+from evolutes.expr import _SLICE
 from evolutes.frenet import ArclengthMap, FrenetEval, is_congruent
+from evolutes.pseudo import PseudoEvoluteCurve
+from evolutes.rolling import TracedInvoluteCurve
 
 _T = sp.Symbol("t")
 _KNOT = ("(1 + 0.15*cos(5*t))*cos(t)",
@@ -31,6 +35,37 @@ def test_point_shapes():
     c = ExprCurve("t, t^2, t^3", (0.0, 1.0))
     assert c.point(0.5).shape == (3,)
     assert c.point([0.25, 0.75]).shape == (2, 3)
+
+
+_SLICED = {
+    **{name: lambda name=name: preset(name) for name in preset_names()},
+    "evolute": lambda: EvoluteCurve(preset("torus-knot")),
+    # the grid's middle point, the first of the second pass, is the cusp
+    # t = 0, where the points are the removable limit's
+    "pseudo-evolute": lambda: PseudoEvoluteCurve(preset("cusp-curve")),
+    "traced-involute": lambda: TracedInvoluteCurve(preset("helix"),
+                                                   (0.3, 0.2)),
+}
+
+
+@pytest.mark.parametrize("name", _SLICED)
+def test_point_passes_are_bounded_and_bit_identical(name, monkeypatch):
+    curve = _SLICED[name]()
+    ts = curve.grid(2 * _SLICE + 1)
+    want = curve.derivatives(ts, 0)[0]
+    calls = []
+    derivatives = curve.derivatives
+
+    def counted(t, order):
+        calls.append(len(t))
+        return derivatives(t, order)
+
+    monkeypatch.setattr(curve, "derivatives", counted)
+    got = curve.point(ts)
+    assert calls == [_SLICE, _SLICE, 1]
+    np.testing.assert_array_equal(got, want)
+    if name == "pseudo-evolute":
+        assert ts[_SLICE] == 0.0 and np.isfinite(got).all()
 
 
 def test_catalog_presets_build():

@@ -119,6 +119,56 @@ def test_svg_one_path_per_branch():
     assert render_svg([b1[:1]]).count("<path ") == 0
 
 
+def _svg_per_branch(branches, scale=100.0, pad=10.0):
+    """render_svg as it was written with one _lines call per branch."""
+    branches = [np.asarray(b, dtype=float).reshape(-1, 2) for b in branches]
+    drawn = [b for b in branches if len(b) >= 2]
+    if drawn:
+        lo = np.min([b.min(axis=0) for b in drawn], axis=0)
+        hi = np.max([b.max(axis=0) for b in drawn], axis=0)
+    else:
+        lo = hi = np.zeros(2)
+    size = (hi - lo) * scale + 2 * pad
+    width, height = _text(([size[:1], size[1:]], " ", "", "")).split()
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">\n'
+    ]
+    for branch in drawn:
+        xs = (branch[:, 0] - lo[0]) * scale + pad
+        ys = (hi[1] - branch[:, 1]) * scale + pad
+        parts += ['  <path d="M ', ((xs, ys), " ", " L ", ""),
+                  '" fill="none" stroke="black" stroke-width="1.5"/>\n']
+    parts.append("</svg>\n")
+    return _text(*parts)
+
+
+def test_svg_of_many_branches_as_one_call_per_branch():
+    rng = np.random.default_rng(13)
+    # branch lengths about the formatter's block of _BLOCK // 2 rows,
+    # single points (not drawn) among them, and signed zeros and
+    # subnormals in the coordinates
+    sizes = [1, 2, 3, _BLOCK // 2 - 1, 1, _BLOCK // 2, _BLOCK // 2 + 1, 7,
+             _BLOCK + 5, 2]
+    branches = [rng.standard_normal((n, 2))
+                * 10.0 ** rng.uniform(-8.0, 8.0, (n, 2)) for n in sizes]
+    branches[2][:, 0] = [-0.0, 5e-324, -5e-324]
+    cases = [([], 100.0, 10.0), (branches[:1], 100.0, 10.0),
+             (branches, 100.0, 10.0), (branches[3:], 0.37, 0.0),
+             (branches[1:3], 1e-300, 1e300)]
+    # the committed figure-eight pseudo-evolute: 16 branches
+    text = (pathlib.Path(__file__).parents[1] / "outputs"
+            / "fig8_pseudo.svg").read_text()
+    fig8 = [np.array([float(v) for v in re.findall(r"[-+0-9.e]+", d)])
+            .reshape(-1, 2) for d in re.findall(r' d="([^"]*)"', text)]
+    assert len(fig8) == 16
+    cases.append((fig8, 100.0, 10.0))
+    for drawn, scale, pad in cases:
+        assert (render_svg(drawn, scale=scale, pad=pad)
+                == _svg_per_branch(drawn, scale=scale, pad=pad))
+
+
 def test_svg_flips_y_axis():
     up = np.array([[0.0, 0.0], [0.0, 1.0]])
     text = render_svg([up], scale=10.0, pad=0.0)
