@@ -8,6 +8,10 @@ with changes to the code.  tests/test_figures.py checks every number of a
 fresh run against ``outputs/`` at a relative tolerance of 1e-9, plus an
 absolute slack of 1e-12 times the file's largest number, and all other
 text for equality.
+
+Each line of the log names an artifact with the sha256 of its bytes, so
+two runs (two checkouts, say) are byte-identical exactly when their logs
+are: compare them with diff.
 """
 import pathlib
 import shutil
@@ -61,6 +65,11 @@ RUNS = [
 
 
 def main() -> int:
+    # imported here, not with the module: perfbench/workloads.py loads RUNS
+    # from this file in the benchmark process, and hashlib maps OpenSSL's
+    # libcrypto, about 3.7 MB of resident memory
+    import hashlib
+
     outdir = pathlib.Path(__file__).resolve().parents[1] / "outputs"
     if outdir.exists():
         shutil.rmtree(outdir)
@@ -68,12 +77,18 @@ def main() -> int:
     failures = 0
     for args in RUNS:
         args = list(args)
-        args[args.index("--out") + 1] = str(outdir / args[args.index("--out") + 1])
+        i = args.index("--out") + 1
+        name, path = args[i], outdir / args[i]
+        command = " ".join(args[:i - 1] + args[i + 1:])
+        args[i] = str(path)
         code = entry(args)
-        marker = "ok" if code == 0 else f"exit {code}"
-        print(f"  [{marker}] {' '.join(args[:6])} ...")
+        if code == 0:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"  [ok] {digest}  {name}  {command}")
+        else:
+            print(f"  [exit {code}] {name}  {command}")
         failures += code != 0
-    print(f"wrote {len(RUNS) - failures}/{len(RUNS)} artifacts to {outdir}")
+    print(f"wrote {len(RUNS) - failures}/{len(RUNS)} artifacts to outputs/")
     return 1 if failures else 0
 
 

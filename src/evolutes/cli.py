@@ -116,6 +116,14 @@ def _write(cfg: RunConfig, text: str) -> int:
     return 0
 
 
+def _write_svg(cfg: RunConfig, branches) -> int:
+    try:
+        text = render_svg(branches, scale=cfg.svg_scale)
+    except ValueError as exc:
+        raise ValueError(f"--svg-scale must be smaller: {exc}") from None
+    return _write(cfg, text)
+
+
 def _emit_polyline(cfg: RunConfig, grids, point) -> int:
     """The finite points of each branch grid (already singularity-free),
     from one point call on all of them."""
@@ -127,7 +135,7 @@ def _emit_polyline(cfg: RunConfig, grids, point) -> int:
     ends = np.cumsum([len(g) for g in grids])[:-1]
     planar = [p[ok, :2] for p, ok in zip(np.split(pts, ends),
                                          np.split(good, ends))]
-    return _write(cfg, render_svg(planar, scale=cfg.svg_scale))
+    return _write_svg(cfg, planar)
 
 
 def _require_finite(ts, pts, what: str):
@@ -193,7 +201,7 @@ def _cmd_develop(cfg: RunConfig, curve: Curve) -> int:
     flat = dev.point(ts)
     fmt = _choose_format(cfg, "svg", ("svg", "csv"))
     if fmt == "svg":
-        return _write(cfg, render_svg([flat], scale=cfg.svg_scale))
+        return _write_svg(cfg, [flat])
     pts = np.column_stack([flat, np.zeros(len(ts))])
     return _write(cfg, render_csv(ts, pts))
 

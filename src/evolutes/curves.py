@@ -19,6 +19,7 @@ import numpy as np
 
 from . import dop853
 from . import expr as ex
+from .errors import GeometryError
 
 __all__ = ["Curve", "ExprCurve", "FrenetODECurve",
            "branch_grids", "EPS_K", "EPS_TAU", "MIN_SPEED", "CUSP_GAP",
@@ -78,7 +79,8 @@ def branch_grids(domain, cuts, samples: int):
     of the domain's width on any side that touches a cut (including the
     domain ends, should a cut land there) and sampled proportionally to its
     share of the domain, at least two points per branch.  Downstream
-    writers then never bridge a singularity.
+    writers then never bridge a singularity.  Cuts that leave no branch
+    raise GeometryError naming the first of them.
     """
     a, b = float(domain[0]), float(domain[1])
     margin = (b - a) * 1e-3
@@ -93,6 +95,9 @@ def branch_grids(domain, cuts, samples: int):
             continue
         count = max(2, round(samples * ((hi_cut - lo_cut) / (b - a))))
         grids.append(np.linspace(lo_cut, hi_cut, count))
+    if not grids:
+        raise GeometryError(f"{len(cuts)} cuts leave no branch outside"
+                            f" their margins of {margin:.3g}", t=cuts[0])
     return grids
 
 
@@ -123,13 +128,22 @@ def _reorthonormalize(y):
     y[3:6], y[6:9], y[9:12] = T, N, np.cross(T, N)
 
 
+def _frame_rhs(c, y):
+    """The frame system at the coefficients c = (k, tau), in floats."""
+    k, tau = c
+    _, _, _, T0, T1, T2, N0, N1, N2, B0, B1, B2 = y.tolist()
+    return np.array([T0, T1, T2, k * N0, k * N1, k * N2,
+                     -k * T0 + tau * B0, -k * T1 + tau * B1,
+                     -k * T2 + tau * B2, -tau * N0, -tau * N1, -tau * N2])
+
+
 class FrenetODECurve(Curve):
     """Unit-speed open curve built from curvature and torsion expressions.
 
     It starts at the origin with the standard basis as its frame (T, N, B).
     The frame system (T' = kN, N' = -kT + tB, B' = -tN, xi' = T) is
-    integrated once; the frame is re-orthonormalized after every accepted
-    step.  Higher derivatives come from the frame equations themselves
+    integrated once, reading k and t at all the stage times of a step in
+    one pass; the frame is re-orthonormalized after every accepted step.  Higher derivatives come from the frame equations themselves
     together with exact derivatives of the curvature/torsion expressions,
     not from differentiating the solver output.
     """
@@ -139,16 +153,10 @@ class FrenetODECurve(Curve):
         self.k_expr = ex.parse(curvature) if isinstance(curvature, str) else curvature
         self.tau_expr = ex.parse(torsion) if isinstance(torsion, str) else torsion
         y0 = np.concatenate([np.zeros(3), np.eye(3).ravel()])
-        self._segments = dop853.integrate(self._rhs, y0, *self.domain, "frame",
-                                          _reorthonormalize)
-
-    def _rhs(self, t, y):
-        k = ex.evaluate(self.k_expr, t)
-        tau = ex.evaluate(self.tau_expr, t)
-        _, _, _, T0, T1, T2, N0, N1, N2, B0, B1, B2 = y.tolist()
-        return np.array([T0, T1, T2, k * N0, k * N1, k * N2,
-                         -k * T0 + tau * B0, -k * T1 + tau * B1,
-                         -k * T2 + tau * B2, -tau * N0, -tau * N1, -tau * N2])
+        ktau = (self.k_expr, self.tau_expr)
+        self._segments = dop853.integrate(lambda ts: ex.jets(ktau, ts, 0)[0],
+                                          _frame_rhs, y0, *self.domain,
+                                          "frame", _reorthonormalize)
 
     def derivatives(self, t, order: int) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -13,8 +13,9 @@ SciPy's values to the last bit.
 
 Unlike SciPy it raises IntegrationFailure, naming t, where SciPy would
 step on with values that are not finite (a NaN step size never ends) and
-after MAX_STEPS attempted steps, as Hairer's code does; and it keeps the
-dense output of every step as four arrays evaluated in one gathered pass.
+after MAX_STEPS attempted steps, as Hairer's code does; it keeps the dense
+output of every step as four arrays evaluated in one gathered pass; and it
+reads the t-dependent coefficients of all of a step's stages in one call.
 """
 
 # The SciPy code this module ports is distributed under this license:
@@ -290,9 +291,9 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, t1):
+def _initial_step(probe, t0, y0, f0, t1):
     """Hairer, Nørsett & Wanner, Sec. II.4: a first step from the sizes of
-    y0, f0 and a difference quotient of f."""
+    y0, f0 and a difference quotient of f; probe(t, y) is the derivative."""
     interval_length = t1 - t0
     scale = ATOL + np.abs(y0) * RTOL
     d0 = _rms(y0 / scale)
@@ -302,7 +303,7 @@ def _initial_step(fun, t0, y0, f0, t1):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
+    f1 = probe(t0 + h0, y0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -322,28 +323,34 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def integrate(fun, y0, t0: float, t1: float, what: str,
+def integrate(coefficients, rhs, y0, t0: float, t1: float, what: str,
               project=None) -> DenseOutput:
-    """Integrate y' = fun(t, y) from y(t0) = y0 up to t1 > t0 at rtol =
-    atol = 1e-11.  ``project(y)``, if given, corrects each accepted state
-    in place after its step's dense output is made; the derivative there is
-    then evaluated again.  A start, a stage or a step size that is not
-    finite, a step below 10 ulps of t, or more than MAX_STEPS attempted
-    steps raises IntegrationFailure naming ``what`` and t."""
+    """Integrate y' = rhs(c(t), y) from y(t0) = y0 up to t1 > t0 at rtol =
+    atol = 1e-11.  ``coefficients(ts)`` gives c at an array of parameters,
+    one row each; an attempted step asks once, at its 15 stage times
+    t + C[1:] h and its end, and ``rhs(c, y)`` forms a stage from one row,
+    as (nested) lists of floats.  ``project(y)``, if given, corrects each
+    accepted state in place after its step's dense output is made; the
+    derivative there is then formed again.  A start, a stage or a step size
+    that is not finite, a step below 10 ulps of t, or more than MAX_STEPS
+    attempted steps raises IntegrationFailure naming ``what`` and t."""
     def fail(t):
         return IntegrationFailure(f"{what} integration failed", t=float(t))
+
+    def probe(t, y):
+        return rhs(coefficients(np.array([t])).tolist()[0], y)
 
     t = t0
     y = np.asarray(y0, dtype=float)
     if not np.isfinite(y).all():
         raise fail(t)
-    f = fun(t, y)
+    f = probe(t, y)
     K_extended = np.empty((16, len(y)))
     K = K_extended[:N_STAGES + 1]
     t_olds, hs, y_olds, Fs = [], [], [], []
     attempts = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        h_abs = _initial_step(fun, t, y, f, t1)
+        h_abs = _initial_step(probe, t, y, f, t1)
         while t < t1:
             min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
             if h_abs < min_step:
@@ -356,12 +363,14 @@ def integrate(fun, y0, t0: float, t1: float, what: str,
                 t_new = min(t + h_abs, t1)
                 h = t_new - t
                 h_abs = np.abs(h)
+                # row s - 1 at stage s's time, the last row at t_new
+                c = coefficients(np.append(t + C[1:] * h, t_new)).tolist()
                 K[0] = f
                 for s in range(1, N_STAGES):
                     dy = np.dot(K[:s].T, A[s, :s]) * h
-                    K[s] = fun(t + C[s] * h, y + dy)
+                    K[s] = rhs(c[s - 1], y + dy)
                 y_new = y + h * np.dot(K[:-1].T, B)
-                K[-1] = f_new = fun(t + h, y_new)
+                K[-1] = f_new = rhs(c[N_STAGES - 1], y_new)
                 if not np.isfinite(K).all():
                     raise fail(t)
                 scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
@@ -381,7 +390,7 @@ def integrate(fun, y0, t0: float, t1: float, what: str,
 
             for s in range(N_STAGES + 1, 16):
                 dy = np.dot(K_extended[:s].T, A[s, :s]) * h
-                K_extended[s] = fun(t + C[s] * h, y + dy)
+                K_extended[s] = rhs(c[s - 1], y + dy)
             F = np.empty((7, len(y)))
             delta_y = y_new - y
             F[0] = delta_y
@@ -398,5 +407,5 @@ def integrate(fun, y0, t0: float, t1: float, what: str,
             t, y, f = t_new, y_new, f_new
             if project is not None:
                 project(y)
-                f = fun(t, y)
+                f = rhs(c[-1], y)
     return DenseOutput(t_olds, hs, y_olds, Fs)

@@ -400,16 +400,20 @@ def render_svg(branches, scale: float = 100.0, pad: float = 10.0) -> str:
 
     branches is a sequence of (n, 2) arrays in mathematical coordinates;
     the y axis is flipped for screen space and everything is scaled to
-    scale pixels per unit with a margin of pad pixels.
+    scale pixels per unit with a margin of pad pixels.  A scaled drawing
+    that is not finite raises ValueError.
     """
     branches = [np.asarray(b, dtype=float).reshape(-1, 2) for b in branches]
     drawn = [b for b in branches if len(b) >= 2]
     pts = np.concatenate([np.empty((0, 2)), *drawn])
     lo, hi = ((pts.min(axis=0), pts.max(axis=0)) if len(pts)
               else (np.zeros(2), np.zeros(2)))
-    size = (hi - lo) * scale + 2 * pad
-    xs = (pts[:, 0] - lo[0]) * scale + pad
-    ys = (hi[1] - pts[:, 1]) * scale + pad
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = (hi - lo) * scale + 2 * pad
+        xs = (pts[:, 0] - lo[0]) * scale + pad
+        ys = (hi[1] - pts[:, 1]) * scale + pad
+    if not np.isfinite(size).all():
+        raise ValueError(f"scale {scale:g} overflows the drawing")
     # one table for the document: its size, then every branch's points
     rows = _text(([np.r_[size[0], xs], np.r_[size[1], ys]], " ", "\n",
                   "")).split("\n")

@@ -180,8 +180,10 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             off = self.peek()[2]
+            exponent = self.factor()
             # a pass over no parameters folds a subtree free of t to a float
-            value = _Pass(np.empty(0), 0).jet(self.factor())
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                value = _Pass(np.empty(0), 0).jet(exponent)
             if not isinstance(value, float):
                 raise ParseError("exponent must be constant", off)
             return self.node(Pow, node, value)
@@ -241,28 +243,13 @@ def parse_curve(text: str):
 # ---------------------------------------------------------------------------
 # Taylor-mode evaluation
 
-_MATH = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-         "log": math.log, "sqrt": math.sqrt}
-
-
-def _saturate(fn, x: float) -> float:
-    """fn(x) on a float, saturating as numpy does: an overflow gives inf,
-    the sine, cosine or tangent of an infinity gives nan."""
-    try:
-        return fn(x)
-    except OverflowError:
-        return math.inf
-    except ValueError:
-        return math.nan
-
-
 class _Pass:
-    """One forward pass at the parameters t up to the given order.
+    """One forward pass at the parameters t (1-D) up to the given order.
 
-    A node's jet is an array of shape (order+1, N) for an array t (1-D),
-    and a float when the node does not depend on t, or when t is a float
-    (order 0 only).  The memo holds each node's jet, and the sin/cos pair
-    of each argument, for the length of the pass.
+    A node's jet is an array of shape (order+1, N), or a float when the
+    node does not depend on t; such a constant folds through the same
+    kernels as the arrays, at order 0.  The memo holds each node's jet, and
+    the sin/cos pair of each argument, for the length of the pass.
     """
 
     def __init__(self, t, order: int):
@@ -285,8 +272,6 @@ class _Pass:
             t = self.t[np.argmax(bad)]
         elif not bad:
             return
-        elif type(self.t) is float:
-            t = self.t
         elif len(self.t):
             t = self.t[0]       # a value free of t fails at every parameter
         else:
@@ -305,8 +290,6 @@ class _Pass:
         if kind is Pow:
             return self._power(self.jet(e.base), e.exponent)
         if kind is Var:
-            if type(self.t) is float:
-                return self.t
             out = np.zeros((self.order + 1, len(self.t)))
             out[0] = self.t
             if self.order:
@@ -323,25 +306,19 @@ class _Pass:
             self.check(value < 0.0, "sqrt of negative value")
             if self.order and not scalar:
                 self.check(value == 0.0, "sqrt of zero has no derivative")
-        if scalar and op in _MATH:
-            return _saturate(_MATH[op], x)
+        if scalar:      # a constant folds through the kernels at order 0
+            x = np.array([x])
         if op in ("sin", "cos", "tan"):
             key = ("sin_cos", arg)
             pair = self.memo.get(key)
             if pair is None:
                 pair = self.memo[key] = jet_sin_cos(x)
-            if op != "tan":
-                return pair[op == "cos"]
-            out = jet_div(*pair)
-            out[0] = np.tan(value)
-            return out
-        if op == "exp":
-            return jet_exp(x)
-        if op == "log":
-            return jet_log(x)
-        if op == "sqrt":
-            return jet_sqrt(x)
-        raise ValueError(f"unknown function {op!r}")
+            out = jet_div(*pair) if op == "tan" else pair[op == "cos"]
+            if op == "tan":
+                out[0] = np.tan(value)
+        else:
+            out = {"exp": jet_exp, "log": jet_log, "sqrt": jet_sqrt}[op](x)
+        return out[0].item() if scalar else out
 
     def _binary(self, op, a, b):
         a_scalar, b_scalar = isinstance(a, float), isinstance(b, float)
@@ -374,12 +351,9 @@ class _Pass:
         elif p < self.order and not (scalar or p.is_integer()):
             self.check(value == 0.0, "non-integer power of zero has no "
                        f"derivative of order {math.ceil(p)}")
-        if not scalar:
-            return jet_pow(x, p)
-        try:
-            return x ** p
-        except OverflowError:
-            return -math.inf if x < 0.0 and p % 2.0 == 1.0 else math.inf
+        if scalar:
+            return jet_pow(np.array([x]), p)[0].item()
+        return jet_pow(x, p)
 
 
 # Parameters per pass: a pass holds the jet of every node at once, so long
@@ -406,10 +380,11 @@ def jets(exprs, t, order: int) -> np.ndarray:
 
 
 def evaluate(e: Expr, t):
-    """Evaluate e at t (float or ndarray).  Raises DomainError as needed."""
-    if isinstance(t, np.ndarray):
-        return jets((e,), t.ravel(), 0)[0, :, 0].reshape(t.shape)
-    return _Pass(float(t), 0).jet(e)
+    """Evaluate e at t (float or ndarray): the order-0 jets, a float for a
+    float.  Raises DomainError as needed."""
+    t = np.asarray(t, dtype=float)
+    out = jets((e,), t.ravel(), 0)[0, :, 0].reshape(t.shape)
+    return out if t.ndim else out.item()
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ while the table is built and never after.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 import numpy as np
 
 from .errors import IntegrationFailure
@@ -296,11 +294,6 @@ def _series_of(nodes):
     return np.einsum("pn...,nk->pk...", nodes, _TO_SERIES)
 
 
-# P_(n+1)(x) = a_n x P_n(x) - b_n P_(n-1)(x), for n = 1 .. 13
-_RECURRENCE = [((2 * n + 1) / (n + 1), n / (n + 1))
-               for n in range(1, len(_XK) - 1)]
-
-
 class PanelInterpolant:
     """A function of t on [a, b] with vector values, as panel polynomials.
 
@@ -311,7 +304,8 @@ class PanelInterpolant:
     m vectors, the last two coefficients are at most _TAIL_RTOL times the
     vector's largest component on the panel (or _TAIL_ATOL), so that
     quantities of different sizes are each resolved.  f is called once per
-    round of refinement, on the nodes of every open panel, and never after.
+    round of refinement, on the nodes of every open panel, and never after;
+    the table is read at arrays of parameters by Clenshaw's recurrence.
     """
 
     def __init__(self, f, a: float, b: float):
@@ -332,15 +326,12 @@ class PanelInterpolant:
         self._shape = nodes.shape[2:]
         # per panel a (15, m d) block whose row k multiplies P_k
         self._coef = _series_of(nodes[order]).reshape(len(order), len(_XK), -1)
-        self._lefts = self.edges[:-1].tolist()
-        self._halves = (0.5 * np.diff(self.edges)).tolist()
+        self._half = 0.5 * np.diff(self.edges)
 
-    def at(self, t: float) -> np.ndarray:
-        """The (m, d) values at one parameter, in float arithmetic: the
-        cheap path for a caller that asks for one point at a time."""
-        i = min(max(bisect_right(self._lefts, t) - 1, 0), len(self._lefts) - 1)
-        x = (t - self._lefts[i]) / self._halves[i] - 1.0
-        row = [1.0, x]
-        for a_n, b_n in _RECURRENCE:
-            row.append(a_n * x * row[-1] - b_n * row[-2])
-        return np.dot(row, self._coef[i]).reshape(self._shape)
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """The values at an array of parameters, shape (len(t), m, d)."""
+        i = np.clip(np.searchsorted(self.edges, t, side="right") - 1,
+                    0, len(self._half) - 1)
+        x = (t - self.edges[i]) / self._half[i] - 1.0
+        return _series(self._coef, i, x[:, None]).reshape(
+            (len(t),) + self._shape)

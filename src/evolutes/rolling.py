@@ -22,7 +22,7 @@ which keeps (P - xi) . B constant: a point starting on the osculating plane
 stays on it.  Only P in it depends on the traced point, so w = tau v T,
 which a ``FrenetEval`` of the base curve gives as tau x', and xi are
 tabled once as panel polynomials (``PanelInterpolant``, each resolved
-to 1e-14 of its size) and DOP853 reads the table at every stage; the
+to 1e-14 of its size) and DOP853 reads the table once per step; the
 table is that far inside the solver's tolerance of 1e-11, so the trace is
 the one the direct formula gives, to rounding.
 """
@@ -146,8 +146,8 @@ class TracedInvoluteCurve(Curve):
 
     Only P depends on the solver's state, so w and xi are read from a
     PanelInterpolant of the base curve, built before the integration with
-    one vectorized derivatives call per round of refinement; a right-hand
-    side is then a panel lookup, one Legendre row and a cross product on
+    one vectorized derivatives call per round of refinement; a step reads
+    the table once at its stage times, and a stage is a cross product on
     floats.  The table resolves w and xi each to 1e-14 of its largest size
     on a panel (or to 1e-14 absolute where it is rounding noise about
     zero), so the field is within about 1e-14 of the direct formula, far
@@ -167,15 +167,8 @@ class TracedInvoluteCurve(Curve):
         start = fe.x[0, 0] + x * fe.T[0, 0] + y * fe.N[0, 0]
         self._rolling = PanelInterpolant(partial(_axis_and_foot, base),
                                          *base.domain)
-        self._segments = dop853.integrate(self._field, start, *self.domain,
-                                          "involute")
-
-    def _field(self, t, P):
-        (w0, w1, w2), (x0, x1, x2) = self._rolling.at(t).tolist()
-        d0, d1, d2 = P.tolist()
-        d0, d1, d2 = d0 - x0, d1 - x1, d2 - x2
-        return np.array([w1 * d2 - w2 * d1, w2 * d0 - w0 * d2,
-                         w0 * d1 - w1 * d0])
+        self._segments = dop853.integrate(self._rolling, _trace_rhs, start,
+                                          *self.domain, "involute")
 
     def derivatives(self, t, order: int) -> np.ndarray:
         t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), *self.domain)
@@ -203,6 +196,15 @@ def _axis_and_foot(base: Curve, ts) -> np.ndarray:
     rolling plane and the contact point xi."""
     fe = FrenetEval(base, ts, 3)
     return np.stack([fe.tau[0][:, None] * fe.d1[0], fe.x[0]], axis=1)
+
+
+def _trace_rhs(c, P):
+    """The field w x (P - xi) at the coefficients c = (w, xi), in floats."""
+    (w0, w1, w2), (x0, x1, x2) = c
+    d0, d1, d2 = P.tolist()
+    d0, d1, d2 = d0 - x0, d1 - x1, d2 - x2
+    return np.array([w1 * d2 - w2 * d1, w2 * d0 - w0 * d2,
+                     w0 * d1 - w1 * d0])
 
 
 def closed_involute(curve: Curve) -> TracedInvoluteCurve:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -113,6 +114,11 @@ def test_usage_errors_exit_2(argv, capsys):
     (["evolute", "--preset", "helix", "--samples", "4194305"], "--samples"),
     (["evolute", "--preset", "helix", "--samples", "100000000000"],
      "--samples"),
+    # finite and positive, but the scaled drawing overflows
+    (["evolute", "--preset", "torus-knot", "--format", "svg",
+      "--svg-scale", "1e308"], "--svg-scale"),
+    (["pseudo-evolute", "--preset", "fig8", "--format", "svg",
+      "--svg-scale", "1e300"], "--svg-scale"),
 ])
 def test_unusable_numbers_exit_2_naming_the_option(argv, flag, tmp_path,
                                                    capsys):
@@ -141,6 +147,22 @@ def test_degenerate_curves_exit_3(argv, check, tmp_path, capsys):
     assert entry(argv + ["--range", "0:1", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "degenerate geometry" in err and check in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pseudo-evolute", "--expr", "cos(t),sin(t),0.01*sin(400*t)",
+     "--range", "0:6"],
+    # 637 cusps of the Monge evolute
+    ["monge-evolute", "--ktau", "2+sin(200*t);cos(300*t)", "--range", "0:10"],
+])
+def test_cuts_that_leave_no_branch_exit_3(argv, tmp_path, capsys):
+    # every branch between the cuts is narrower than twice its margin
+    out = tmp_path / "out.csv"
+    assert entry(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"degenerate geometry: \d+ cuts leave no branch"
+                        r" outside their margins of \S+ at t≈\S+\n", err)
     assert not out.exists()
 
 

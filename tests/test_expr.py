@@ -5,6 +5,7 @@ grammar and supplies reference values and derivatives.
 """
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_evaluate_matches_sympy(text):
     ts = np.linspace(0.2, 2.5, 23)
     got = evaluate(e, ts)
     assert np.allclose(got, ref(ts), rtol=1e-12, atol=1e-12)
-    # scalar path goes through math, array path through numpy
+    # a float is evaluated as a one-element array
     for t in (0.2, 1.0, 2.5):
         assert math.isclose(evaluate(e, t), float(ref(t)),
                             rel_tol=1e-12, abs_tol=1e-12)
@@ -145,14 +146,24 @@ def test_overflow_saturates_to_inf():
     assert evaluate(parse("-exp(t)"), 1e4) == -math.inf
 
 
-def test_array_path_matches_scalar_path():
-    # vectorized pow may round 1 ulp away from libm, hence the tolerance
+def test_a_float_gives_the_arrays_value_bit_for_bit():
     for text in SAMPLES:
         e = parse(text)
         ts = np.linspace(0.3, 2.2, 17)
-        arr = evaluate(e, ts)
-        point = np.array([evaluate(e, float(t)) for t in ts])
-        np.testing.assert_allclose(arr, point, rtol=2e-15, atol=0, err_msg=text)
+        point = [evaluate(e, float(t)) for t in ts]
+        assert all(type(v) is float for v in point), text
+        np.testing.assert_array_equal(point, evaluate(e, ts), err_msg=text)
+
+
+def test_a_constant_subtree_folds_to_numpys_value():
+    ts = np.linspace(-3.0, 3.0, 13)
+    np.testing.assert_array_equal(evaluate(parse("sin(0.7)*t"), ts),
+                                  np.sin(0.7) * ts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(parse("exp(1000)"), 2.0) == math.inf
+        assert evaluate(parse("exp(1000) + 0*t"), ts).tolist() == [math.inf] * 13
+        assert parse("t^exp(1000)").exponent == math.inf    # folded at parse
 
 
 # ----------------------------------------------------------------- fuzzing
