@@ -15,6 +15,11 @@ Kronrod value.  Values and inverses at any number of parameters come from
 these polynomials, and so does the integral of |f|: the table's variation
 between the sign changes of the panel polynomials.  The integrand is called
 while the table is built and never after.
+
+f may be a vector (an array of components per parameter), each component
+held to its own budget; ``rate`` then reads f itself from the panel
+polynomials, as the rolling involute reads its field.  The values, the
+inverse and the variation take a scalar or complex f.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .errors import IntegrationFailure
 
-__all__ = ["CumulativeIntegral", "PanelInterpolant"]
+__all__ = ["CumulativeIntegral"]
 
 # 15-point Kronrod abscissae/weights and the embedded 7-point Gauss weights
 _XK = np.array([
@@ -60,22 +65,15 @@ _NEWTON_STEPS = 60       # cap on the iterations of an inverse
 # cut's error: a few regula falsi steps on a bracket between neighbouring
 # samples reach rounding
 _FALSI_STEPS = 6
-# A vector of an interpolant is resolved on a panel when its last two
-# Legendre coefficients are at or below _TAIL_RTOL times its largest
-# component there, or below _TAIL_ATOL.  1e-15 is the rounding floor of
-# _TO_SERIES and is never met; the absolute floor serves a vector that is
-# rounding noise about zero, such as the torsion of a planar curve.
-_TAIL_RTOL = 1e-14
-_TAIL_ATOL = 1e-14
 
 
 def _series(coef, i, x):
     """The Legendre series of row i of coef at x (i and x broadcast), by
-    Clenshaw's recurrence; only elementwise operations, so equal inputs
-    round alike."""
+    Clenshaw's recurrence; coef[i, ..., k] multiplies P_k.  Only elementwise
+    operations, so equal inputs round alike."""
     b1 = b2 = 0.0
-    for k in range(coef.shape[1] - 1, -1, -1):
-        b1, b2 = (coef[i, k] + (2 * k + 1) / (k + 1) * x * b1
+    for k in range(coef.shape[-1] - 1, -1, -1):
+        b1, b2 = (coef[i, ..., k] + (2 * k + 1) / (k + 1) * x * b1
                   - (k + 1) / (k + 2) * b2), b1
     return b1
 
@@ -124,12 +122,13 @@ def _falsi(coef, i, xl, xr, fl, fr):
 
 def _at_nodes(f, lo, hi):
     """f at the Kronrod nodes of the panels [lo_i, hi_i], in f's dtype, one
-    row per panel; a vector-valued f adds its trailing axis."""
+    row per panel; f's trailing axes, if any, go between the panel and the
+    node axis, so the nodes are always last."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _XK
     y = np.asarray(f(x.ravel()))
-    return y.reshape(x.shape + y.shape[1:])
+    return np.moveaxis(y.reshape(x.shape + y.shape[1:]), 1, -1)
 
 
 def _refine(f, edges, accept, what: str):
@@ -178,8 +177,11 @@ class CumulativeIntegral:
     Kronrod node values; F is complex for a complex f and reads table[i]
     exactly at every edge.  ``inverse`` assumes a real f >= 0 (nondecreasing
     F) and runs Newton's method on the same polynomials; ``variation``, the
-    integral of |f| for a real f, cuts F at their sign changes.  None of
-    them calls f.
+    integral of |f| for a real f, cuts F at their sign changes.  f may have
+    trailing axes (f maps N parameters to shape (N, ...)); each component
+    then meets its own budget, and ``rate`` reads f itself from the panel
+    polynomials.  ``__call__``, ``inverse`` and ``variation`` take a scalar
+    or complex f.  None of them calls f.
     """
 
     def __init__(self, f, a: float, b: float, c0: float = 0.0):
@@ -192,13 +194,18 @@ class CumulativeIntegral:
         def accept(lo, hi, nodes):
             # the Kronrod value against its embedded Gauss value, within
             # the panel's share of the budget of the running integral of
-            # |f|: a signed total that cancels would tighten it
-            half = 0.5 * (hi - lo)
+            # |f|, per component: a signed total that cancels would tighten
+            # it
+            col = (-1,) + (1,) * (nodes.ndim - 2)
+            half = (0.5 * (hi - lo)).reshape(col)
             vals = (nodes @ _WK) * half
-            errs = np.abs(vals - (nodes[:, 1::2] @ _WG) * half)
-            scale = max(sum(np.abs(v).sum() for v in keep_val)
-                        + np.abs(vals).sum(), _ATOL)
-            ok = errs <= ((hi - lo) / width) * max(_ATOL, _RTOL * scale)
+            errs = np.abs(vals - (nodes[..., 1::2] @ _WG) * half)
+            # fmax: a NaN in the running sum leaves the absolute budget
+            scale = np.fmax(sum(np.abs(v).sum(axis=0) for v in keep_val)
+                            + np.abs(vals).sum(axis=0), _ATOL)
+            ok = errs <= (((hi - lo) / width).reshape(col)
+                          * np.fmax(_ATOL, _RTOL * scale))
+            ok = ok.reshape(len(ok), -1).all(axis=1)
             keep_val.append(vals[ok])
             return ok
 
@@ -206,7 +213,8 @@ class CumulativeIntegral:
         order = np.argsort(lo)
         self.edges = np.append(lo[order], float(b))
         vals = np.concatenate(keep_val)[order]
-        self.table = np.concatenate([[0.0], np.cumsum(vals)]) + float(c0)
+        self.table = np.concatenate([np.zeros((1,) + vals.shape[1:]),
+                                     np.cumsum(vals, axis=0)]) + float(c0)
         self._half = 0.5 * np.diff(self.edges)
         self._interpolant = nodes[order] @ _TO_SERIES
         self._antiderivative = self._interpolant @ _INTEGRATE
@@ -248,15 +256,27 @@ class CumulativeIntegral:
         return self._half[i] * (_series(self._antiderivative, i, x)
                                 - self._start[i])
 
+    def _locate(self, t):
+        """The panel i of each parameter of the array t, and x in [-1, 1]
+        within it."""
+        i = np.clip(np.searchsorted(self.edges, t, side="right") - 1,
+                    0, len(self._half) - 1)
+        return i, (t - self.edges[i]) / self._half[i] - 1.0
+
     def __call__(self, t):
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        i = np.clip(np.searchsorted(self.edges, t, side="right") - 1,
-                    0, len(self._half) - 1)
-        out = self.table[i] + self._rise(i, (t - self.edges[i])
-                                         / self._half[i] - 1.0)
+        i, x = self._locate(t)
+        out = self.table[i] + self._rise(i, x)
         out[t == self.edges[-1]] = self.table[-1]    # b closes the table too
         return out[0].item() if scalar else out
+
+    def rate(self, t):
+        """f at an array of parameters, from its panel polynomials: shape
+        (len(t),) followed by f's trailing axes."""
+        i, x = self._locate(t)
+        return _series(self._interpolant, i,
+                       x.reshape(x.shape + (1,) * (self._interpolant.ndim - 2)))
 
     def inverse(self, s):
         """Parameters t with F(t) = s, for nondecreasing F (f >= 0); s is
@@ -286,52 +306,3 @@ class CumulativeIntegral:
                     break
         t = self.edges[i] + self._half[i] * (x + 1.0)
         return float(t[0]) if scalar else t
-
-
-def _series_of(nodes):
-    """Legendre coefficients of the interpolants through node values, both
-    along axis 1 (panels along axis 0, components after)."""
-    return np.einsum("pn...,nk->pk...", nodes, _TO_SERIES)
-
-
-class PanelInterpolant:
-    """A function of t on [a, b] with vector values, as panel polynomials.
-
-    f maps an array of N parameters to an array of shape (N, m, d): m
-    vectors of d components.  On every panel the table keeps, per
-    component, the Legendre series of the degree-14 polynomial through f at
-    the panel's Kronrod nodes.  A panel is bisected until, for each of the
-    m vectors, the last two coefficients are at most _TAIL_RTOL times the
-    vector's largest component on the panel (or _TAIL_ATOL), so that
-    quantities of different sizes are each resolved.  f is called once per
-    round of refinement, on the nodes of every open panel, and never after;
-    the table is read at arrays of parameters by Clenshaw's recurrence.
-    """
-
-    def __init__(self, f, a: float, b: float):
-        if not b > a:
-            raise ValueError("need b > a")
-
-        def accept(lo, hi, nodes):
-            with np.errstate(invalid="ignore"):      # inf values: nan tails
-                tail = np.abs(_series_of(nodes)[:, -2:]).max(axis=(1, 3))
-            ok = tail <= np.maximum(
-                _TAIL_ATOL, _TAIL_RTOL * np.abs(nodes).max(axis=(1, 3)))
-            return ok.all(axis=1)
-
-        lo, nodes = _refine(f, np.linspace(a, b, _PANELS + 1), accept,
-                            "interpolation")
-        order = np.argsort(lo)
-        self.edges = np.append(lo[order], float(b))
-        self._shape = nodes.shape[2:]
-        # per panel a (15, m d) block whose row k multiplies P_k
-        self._coef = _series_of(nodes[order]).reshape(len(order), len(_XK), -1)
-        self._half = 0.5 * np.diff(self.edges)
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """The values at an array of parameters, shape (len(t), m, d)."""
-        i = np.clip(np.searchsorted(self.edges, t, side="right") - 1,
-                    0, len(self._half) - 1)
-        x = (t - self.edges[i]) / self._half[i] - 1.0
-        return _series(self._coef, i, x[:, None]).reshape(
-            (len(t),) + self._shape)

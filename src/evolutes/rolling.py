@@ -21,10 +21,9 @@ with angular rate equal to the torsion, so a tracked point obeys
 which keeps (P - xi) . B constant: a point starting on the osculating plane
 stays on it.  Only P in it depends on the traced point, so w = tau v T,
 which a ``FrenetEval`` of the base curve gives as tau x', and xi are
-tabled once as panel polynomials (``PanelInterpolant``, each resolved
-to 1e-14 of its size) and DOP853 reads the table once per step; the
-table is that far inside the solver's tolerance of 1e-11, so the trace is
-the one the direct formula gives, to rounding.
+tabled once as the rate of a ``CumulativeIntegral`` (its panel
+polynomials, each component held to its own quadrature budget) and DOP853
+reads the table once per step.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from . import dop853
 from .curves import Curve
 from .errors import IdentityMonodromy, NotClosed, PureTranslation
 from .frenet import ArclengthMap, FrenetEval, regular_eval
-from .quadrature import CumulativeIntegral, PanelInterpolant
+from .quadrature import CumulativeIntegral
 from .taylor import antiderivative_jet, jet_mul, jet_sin_cos
 
 __all__ = [
@@ -144,18 +143,16 @@ class TracedInvoluteCurve(Curve):
     derivatives of any order follow from the same field by the Leibniz
     rule, using exact jets of the base curve.
 
-    Only P depends on the solver's state, so w and xi are read from a
-    PanelInterpolant of the base curve, built before the integration with
-    one vectorized derivatives call per round of refinement; a step reads
-    the table once at its stage times, and a stage is a cross product on
-    floats.  The table resolves w and xi each to 1e-14 of its largest size
-    on a panel (or to 1e-14 absolute where it is rounding noise about
-    zero), so the field is within about 1e-14 of the direct formula, far
-    inside the DOP853 tolerance of 1e-11: the solver takes the same steps
-    and traces the same curve to rounding.  A base curve that the table
-    cannot resolve fails with IntegrationFailure: a pole of the torsion, or
-    an inflection of a planar curve, where w is rounding noise over a
-    vanishing |x' x x''|^2.
+    Only P depends on the solver's state, so w and xi are read from the
+    panel polynomials of a CumulativeIntegral of (w, xi) over the base
+    curve, built before the integration with one vectorized derivatives
+    call per round of refinement; a step reads the table once at its stage
+    times (``rate``), and a stage is a cross product on floats.  Each
+    component of w and xi meets the quadrature budget of every cumulative
+    table, relative to its own integral of |f|.  A base curve that the
+    table cannot resolve fails with IntegrationFailure naming the
+    parameter: a pole of the torsion, or an inflection of a planar curve,
+    where w is rounding noise over a vanishing |x' x x''|^2.
     """
 
     def __init__(self, base: Curve, plane_point, closed: bool = False):
@@ -165,8 +162,8 @@ class TracedInvoluteCurve(Curve):
         fe = regular_eval(base, base.domain[0], order=3)
         x, y = self.plane_point
         start = fe.x[0, 0] + x * fe.T[0, 0] + y * fe.N[0, 0]
-        self._rolling = PanelInterpolant(partial(_axis_and_foot, base),
-                                         *base.domain)
+        self._rolling = CumulativeIntegral(partial(_axis_and_foot, base),
+                                           *base.domain).rate
         self._segments = dop853.integrate(self._rolling, _trace_rhs, start,
                                           *self.domain, "involute")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evolutes.errors import IntegrationFailure
-from evolutes.quadrature import CumulativeIntegral, PanelInterpolant
+from evolutes.quadrature import CumulativeIntegral
 
 
 def test_smooth_integral_to_tolerance():
@@ -120,23 +120,24 @@ def test_nan_integrand_stops_at_the_panel_cap():
         CumulativeIntegral(half_nan, 0.0, 1.0).total
 
 
-def test_panel_interpolant_resolves_each_vector_to_its_own_size():
-    # two vectors of sizes 1e3 and 1e-3: each is resolved relative to itself
+def test_rate_resolves_each_vector_to_its_own_size():
+    # two vectors of sizes 1e3 and 1e-3: each component meets the budget of
+    # its own integral, so the small one is resolved relative to itself
     def f(t):
         small = 1e-3 * np.stack([np.sin(3 * t), np.cos(t), t], axis=-1)
         large = 1e3 * np.stack([np.cos(t), np.exp(-t), 1 + 0 * t], axis=-1)
         return np.stack([small, large], axis=1)
 
-    table = PanelInterpolant(f, 0.0, 4.0)
+    rate = CumulativeIntegral(f, 0.0, 4.0).rate
     ts = np.random.default_rng(3).uniform(0.0, 4.0, 200)
-    got = table(ts)
+    got = rate(ts)
     want = f(ts)
     assert got.shape == (200, 2, 3)
     assert np.abs(got[:, 0] - want[:, 0]).max() < 1e-16
     assert np.abs(got[:, 1] - want[:, 1]).max() < 1e-10
 
 
-def test_panel_interpolant_of_a_pole_fails_naming_the_interval():
+def test_rate_of_a_pole_fails_naming_the_interval():
     # the panels next to the pole never resolve it: bisection stops at the
     # cap on live panels with an error
     calls = []
@@ -146,6 +147,6 @@ def test_panel_interpolant_of_a_pole_fails_naming_the_interval():
         return (1.0 / (t - 1.0 / 3.0))[:, None, None]
 
     with pytest.raises(IntegrationFailure,
-                       match=r"interpolation failed on \[0, 1\] at t≈0\.33"):
-        PanelInterpolant(pole, 0.0, 1.0)
+                       match=r"quadrature failed on \[0, 1\] at t≈0\.33"):
+        CumulativeIntegral(pole, 0.0, 1.0).rate
     assert max(calls) <= 15 * 4096

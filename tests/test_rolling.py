@@ -117,19 +117,27 @@ def test_sphere_evolute_of_any_trace_is_the_base(helix):
 
 
 def test_closed_involute_reads_its_base_curve_from_a_table(monkeypatch):
-    # the development, the start point and one vectorized call per round of
-    # the field table; a base-curve call per DOP853 stage would be thousands
-    knot = preset("torus-knot")
-    derivatives = knot.derivatives
-    calls = []
+    # one vectorized call per round of the field table; a base-curve call
+    # per DOP853 stage would be thousands.  Exact counts for the figures'
+    # two involutes: they do not depend on the machine.
+    def reads(curve, make):
+        derivatives = curve.derivatives
+        seen = []
 
-    def counting(ts, order):
-        calls.append(np.size(ts))
-        return derivatives(ts, order)
+        def counting(ts, order):
+            seen.append(np.size(ts))
+            return derivatives(ts, order)
 
-    monkeypatch.setattr(knot, "derivatives", counting)
-    closed_involute(knot)
-    assert len(calls) < 50
+        monkeypatch.setattr(curve, "derivatives", counting)
+        return seen, len(make(curve)._segments)
+
+    # monodromy's two ends, the development's turning-angle and position
+    # tables, the start point, the 64-panel field table; 145 DOP853 steps
+    assert reads(preset("torus-knot"), closed_involute) == (
+        [2, 960, 960, 1, 960], 145)
+    # the start point and the 64-panel field table; 28 steps
+    assert reads(preset("helix"),
+                 lambda c: TracedInvoluteCurve(c, (0.5, 0.2))) == ([1, 960], 28)
 
 
 def test_traced_points_read_no_base_jets(knot, monkeypatch):
