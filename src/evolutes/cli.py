@@ -14,6 +14,7 @@ from functools import cache, partial
 
 import numpy as np
 
+from . import expr as ex
 from .catalog import preset, preset_names
 from .classify import classify
 from .curves import Curve, ExprCurve, FrenetODECurve, branch_grids
@@ -108,20 +109,22 @@ def _choose_format(cfg: RunConfig, default: str, offered) -> str:
     return fmt
 
 
-def _write(cfg: RunConfig, text: str) -> int:
+def _write(cfg: RunConfig, pieces) -> int:
+    """Write the str pieces to --out, or to standard output."""
     if cfg.out:
-        atomic_write(cfg.out, text)
+        atomic_write(cfg.out, pieces)
     else:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
     return 0
 
 
 def _write_svg(cfg: RunConfig, branches) -> int:
     try:
-        text = render_svg(branches, scale=cfg.svg_scale)
+        pieces = render_svg(branches, scale=cfg.svg_scale)
     except ValueError as exc:
         raise ValueError(f"--svg-scale must be smaller: {exc}") from None
-    return _write(cfg, text)
+    return _write(cfg, pieces)
 
 
 def _emit_polyline(cfg: RunConfig, grids, point) -> int:
@@ -131,7 +134,9 @@ def _emit_polyline(cfg: RunConfig, grids, point) -> int:
     pts = point(ts)
     good = np.isfinite(pts).all(axis=-1)
     if _choose_format(cfg, "csv", ("csv", "svg")) == "csv":
-        return _write(cfg, render_csv(ts[good], pts[good]))
+        if not good.all():                  # copies only to drop a row
+            ts, pts = ts[good], pts[good]
+        return _write(cfg, render_csv(ts, pts))
     ends = np.cumsum([len(g) for g in grids])[:-1]
     planar = [p[ok, :2] for p, ok in zip(np.split(pts, ends),
                                          np.split(good, ends))]
@@ -149,16 +154,21 @@ def _require_finite(ts, pts, what: str):
 # ------------------------------------------------------------- subcommands
 
 def _cmd_frenet(cfg: RunConfig, curve: Curve) -> int:
-    grids = branch_grids(curve.domain, curve.cusps, cfg.samples)
-    ts = np.concatenate(grids)
-    fe = FrenetEval(curve, ts, order=4)
-    pts = fe.x[0]
+    """Position, k, tau and sigma from one FrenetEval per pass of at most
+    expr._SLICE parameters: only the copied values outlive a pass's jets."""
+    ts = np.concatenate(branch_grids(curve.domain, curve.cusps, cfg.samples))
+    pts = np.empty((len(ts), 3))
+    k, tau, sigma = np.empty((3, len(ts)))
+    for lo in range(0, len(ts), ex._SLICE):
+        fe = FrenetEval(curve, ts[lo:lo + ex._SLICE], order=4)
+        hi = lo + len(fe.t)
+        with np.errstate(all="ignore"):
+            pts[lo:hi], k[lo:hi] = fe.x[0], fe.k[0]
+            tau[lo:hi], sigma[lo:hi] = fe.tau[0], fe.sigma[0]
     _require_finite(ts, pts, "curve point")
-    with np.errstate(all="ignore"):
-        extras = [("k", fe.k[0]), ("tau", fe.tau[0])]
-        sigma = fe.sigma[0]
-        if np.isfinite(sigma).all():
-            extras.append(("sigma", sigma))
+    extras = [("k", k), ("tau", tau)]
+    if np.isfinite(sigma).all():
+        extras.append(("sigma", sigma))
     _choose_format(cfg, "csv", ("csv",))
     return _write(cfg, render_csv(ts, pts, extras))
 
@@ -211,13 +221,13 @@ def _cmd_monodromy(cfg: RunConfig, curve: Curve) -> int:
     # the rotation angle is the end of the turning-angle table
     payload["total_curvature"] = payload["angle"]
     _choose_format(cfg, "json", ("json",))
-    return _write(cfg, render_json(payload))
+    return _write(cfg, (render_json(payload),))
 
 
 def _cmd_report(cfg: RunConfig, curve: Curve) -> int:
     payload = curve_report(curve, cfg.samples, circle_delta=cfg.delta)
     _choose_format(cfg, "json", ("json",))
-    return _write(cfg, render_json(payload))
+    return _write(cfg, (render_json(payload),))
 
 
 _DISPATCH = {

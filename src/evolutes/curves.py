@@ -60,12 +60,19 @@ class Curve:
 
     def point(self, t) -> np.ndarray:
         """Points at t; an array goes through derivatives in passes of at
-        most expr._SLICE parameters, so a caller never builds a larger one."""
+        most expr._SLICE parameters, so a caller never builds a larger one;
+        each pass is written into the one array of points."""
         if np.ndim(t) == 0:
             return self.derivatives(t, 0)[0, 0]
         t = np.asarray(t, dtype=float)
-        return np.concatenate([self.derivatives(t[lo:lo + ex._SLICE], 0)[0]
-                               for lo in range(0, max(len(t), 1), ex._SLICE)])
+        out = np.empty((len(t), 3))
+        for lo in range(0, len(t), ex._SLICE):
+            # a pass's jets live on until the next pass has its own: freed
+            # at once, they let the C allocator give the heap back to the
+            # system and fault it in again on the next pass, page by page
+            jets = self.derivatives(t[lo:lo + ex._SLICE], 0)
+            out[lo:lo + ex._SLICE] = jets[0]
+        return out
 
     def grid(self, samples: int) -> np.ndarray:
         a, b = self.domain

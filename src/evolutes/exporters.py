@@ -2,7 +2,9 @@
 
 All writers are atomic (temp file + rename, never a partial artifact) and
 deterministic: numbers are serialized with their shortest round-trip decimal
-representation, so identical inputs give byte-identical files.  Splitting a
+representation, so identical inputs give byte-identical files.  The CSV,
+OBJ and SVG writers return their text as pieces made block by block as they
+are written, so no file is ever held whole in memory.  Splitting a
 curve into branches at singular parameters happens upstream; these functions
 only lay out the rows, faces, and paths they are handed.
 """
@@ -292,14 +294,22 @@ def _fill(ws: _Workspace) -> None:
     cells[special, 1] = _SPECIAL[kind]
 
 
-def _lines(buf, pos: int, columns, sep: str, between: str, end: str) -> int:
-    """Write between.join(sep.join(map(repr, row)) for row in table) + end
-    into buf at pos, table being the columns side by side; returns the end
-    of the text.  No rows write nothing."""
+# stands in the cells for a separator longer than three bytes: no number
+# text or separator holds it
+_MARK = "\x01"
+
+
+def _lines(columns, sep: str, between: str, end: str, breaks=(), brk=""):
+    """Yield between.join(sep.join(map(repr, row)) for row in table) + end,
+    table being the columns side by side, as one str per block of about
+    _BLOCK numbers; each row whose index is in breaks (sorted, the last row
+    not among them) ends with brk in place of between.  No rows yield
+    nothing."""
     rows, cols = len(columns[0]), len(columns)
     kind = np.float64 if np.asarray(columns[0]).dtype.kind == "f" else np.int64
     seps = [_U(_words(b"\0" * 5 + s.encode(), 1)[0])
-            for s in (sep, between, end)]
+            for s in (sep, between, end, _MARK)]
+    breaks = np.asarray(breaks, dtype=np.intp)
     per = max(1, _BLOCK // cols)
     ws = None
     for start in range(0, rows, per):
@@ -310,50 +320,55 @@ def _lines(buf, pos: int, columns, sep: str, between: str, end: str) -> int:
         _fill(ws)
         cells = ws.cells.reshape(-1, cols, 7)
         cells[:, :-1, 6] |= seps[0]
-        cells[:, -1, 6] |= seps[1]
+        last = cells[:, -1, 6]
+        last |= seps[1]
         if stop == rows:
-            cells[-1, -1, 6] = (cells[-1, -1, 6] & _U(2**40 - 1)) | seps[2]
+            last[-1] = (last[-1] & _U(2**40 - 1)) | seps[2]
+        marked = breaks[np.searchsorted(breaks, start):
+                        np.searchsorted(breaks, stop)] - start
+        last[marked] = (last[marked] & _U(2**40 - 1)) | seps[3]
         text = ws.cells.reshape(-1).view(np.uint8)
-        text = text[np.not_equal(text, 0,
-                                 out=ws.scratch.reshape(-1).view(bool))]
-        buf[pos:pos + len(text)] = text
-        pos += len(text)
-    return pos
+        text = str(text[np.not_equal(text, 0,
+                                     out=ws.scratch.reshape(-1).view(bool))],
+                   "utf-8")
+        yield text.replace(_MARK, brk) if len(marked) else text
 
 
-# the longest text of one number, "-1.2345678901234567e-100", and a separator
-_MOST = 24 + 3
+class _Pieces:
+    """The text of one file as str pieces, made as they are iterated.  A str
+    part stands for itself; a part (columns, sep, between, end[, breaks,
+    brk]) stands for the rows of the columns side by side, a piece per block
+    as _lines yields them: sep, between and end are at most three characters
+    each.  The writers check their input before they return one, so no
+    refusal waits for the pieces.  len is the number of pieces, known
+    before any is made."""
+
+    def __init__(self, *parts):
+        self.parts = parts
+
+    def __iter__(self):
+        for part in self.parts:
+            if isinstance(part, str):
+                yield part
+            else:
+                yield from _lines(*part)
+
+    def __len__(self):
+        return sum(1 if isinstance(p, str)
+                   else -(-len(p[0][0]) // max(1, _BLOCK // len(p[0])))
+                   for p in self.parts)
 
 
-def _text(*parts) -> str:
-    """The concatenation of parts as one str.  A str part stands for itself;
-    a part (columns, sep, between, end) stands for the rows of the columns
-    side by side as _lines writes them: sep, between and end are at most
-    three characters each.  The text is assembled in one buffer, which is
-    decoded once."""
-    parts = [p.encode() if isinstance(p, str) else p for p in parts]
-    buf = np.empty(sum(len(p) if isinstance(p, bytes)
-                       else _MOST * len(p[0]) * len(p[0][0]) for p in parts),
-                   dtype=np.uint8)
-    pos = 0
-    for part in parts:
-        if isinstance(part, bytes):
-            buf[pos:pos + len(part)] = np.frombuffer(part, np.uint8)
-            pos += len(part)
-        else:
-            pos = _lines(buf, pos, *part)
-    buf.resize(pos, refcheck=False)
-    return str(buf, "utf-8")
-
-
-def atomic_write(path, text: str) -> None:
-    """Write text to path so that the file appears complete or not at all."""
+def atomic_write(path, pieces) -> None:
+    """Write the str pieces to path as they come, so that the file appears
+    complete or not at all."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            for piece in pieces:
+                handle.write(piece)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -363,7 +378,7 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
-def render_csv(ts, points, extras=None) -> str:
+def render_csv(ts, points, extras=None) -> _Pieces:
     """CSV with header t,x,y,z plus one column per (name, values) in extras."""
     ts = np.asarray(ts, dtype=float)
     points = np.asarray(points, dtype=float).reshape(len(ts), 3)
@@ -371,10 +386,10 @@ def render_csv(ts, points, extras=None) -> str:
     header = "t,x,y,z" + "".join("," + name for name, _ in extras) + "\n"
     columns = [ts, *points.T] + [np.asarray(vals, dtype=float)
                                  for _, vals in extras]
-    return _text(header, (columns, ",", "\n", "\n"))
+    return _Pieces(header, (columns, ",", "\n", "\n"))
 
 
-def render_obj(patch) -> str:
+def render_obj(patch) -> _Pieces:
     """Wavefront OBJ for a ruled patch: v lines, then quad f lines.
 
     Vertices are the patch grid flattened ruling-fastest; each quad joins two
@@ -391,10 +406,10 @@ def render_obj(patch) -> str:
         columns = [np.ravel(c) for c in columns]
         if len(columns[0]):
             parts += [kind, (columns, " ", "\n" + kind, "\n")]
-    return _text(*parts)
+    return _Pieces(*parts)
 
 
-def render_svg(branches, scale: float = 100.0, pad: float = 10.0) -> str:
+def render_svg(branches, scale: float = 100.0, pad: float = 10.0) -> _Pieces:
     """SVG document with one black path element, 1.5 pixels wide, per
     planar branch.
 
@@ -414,19 +429,18 @@ def render_svg(branches, scale: float = 100.0, pad: float = 10.0) -> str:
         ys = (hi[1] - pts[:, 1]) * scale + pad
     if not np.isfinite(size).all():
         raise ValueError(f"scale {scale:g} overflows the drawing")
-    # one table for the document: its size, then every branch's points
-    rows = _text(([np.r_[size[0], xs], np.r_[size[1], ys]], " ", "\n",
-                  "")).split("\n")
-    width, height = rows[0].split()
-    ends = np.cumsum([1] + [len(b) for b in drawn]).tolist()
-    return "".join([
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n',
-        *('  <path d="M ' + " L ".join(rows[i:j])
-          + '" fill="none" stroke="black" stroke-width="1.5"/>\n'
-          for i, j in zip(ends[:-1], ends[1:])),
-        "</svg>\n"])
+    width, height = "".join(_lines([size[:1], size[1:]], " ", "", "")).split()
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+             f'height="{height}" viewBox="0 0 {width} {height}">\n']
+    if drawn:
+        # one table of every branch's points; a path ends after each branch
+        path = '  <path d="M '
+        close = '" fill="none" stroke="black" stroke-width="1.5"/>\n'
+        ends = np.cumsum([len(b) for b in drawn])[:-1] - 1
+        parts += [path, ((xs, ys), " ", " L ", "", ends, close + path), close]
+    parts.append("</svg>\n")
+    return _Pieces(*parts)
 
 
 def _plain(value):

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,42 @@ def test_frenet_stdout_csv(capsys):
     assert abs(row[4] - 0.5) < 1e-12 and abs(row[5] - 0.5) < 1e-12
 
 
+def test_frenet_passes_keep_the_bytes_of_one_evaluation(tmp_path, capsys):
+    # three passes of FrenetEval (4096, 4096 and 1808 parameters) and 17
+    # blocks of 585 rows, the last one short: the file and standard output
+    # are the rows of one FrenetEval on the whole grid, written by repr
+    argv = ["frenet", "--preset", "torus-knot", "--samples", "10000"]
+    out = tmp_path / "knot.csv"
+    assert entry(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert entry(argv) == 0
+    curve = preset("torus-knot")
+    ts = np.concatenate(branch_grids(curve.domain, curve.cusps, 10000))
+    fe = FrenetEval(curve, ts, order=4)
+    table = np.column_stack([ts, fe.x[0], fe.k[0], fe.tau[0], fe.sigma[0]])
+    want = "t,x,y,z,k,tau,sigma\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in table.tolist())
+    assert out.read_text() == want
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("command, bound_mb", [("frenet", 12), ("evolute", 8)])
+def test_dense_commands_peak_below_their_bounds(command, bound_mb, tmp_path):
+    # the traced peak grows with the output columns, 8 bytes a number, plus
+    # one pass of jets and one block of text: 7.6 MB for frenet and 5.8 MB
+    # for evolute in a fresh process (numpy 2.4, Python 3.11), where
+    # writing whole tables took 44.3 and 14.3 MB
+    argv = [command, "--preset", "torus-knot", "--samples", "65536",
+            "--out", str(tmp_path / "knot.csv")]
+    tracemalloc.start()
+    try:
+        assert entry(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 2**20
+
+
 def test_range_flag_accepts_negative_bounds(capsys):
     assert entry(["frenet", "--expr", "t, t^2, 1 + t", "--range", "-1:1",
                   "--samples", "16"]) == 0
@@ -246,8 +283,9 @@ def _one_call_per_branch(point, grids):
     """The CSV of each branch's finite rows, one point call per branch."""
     pts = [point(ts) for ts in grids]
     good = [np.isfinite(p).all(axis=-1) for p in pts]
-    return render_csv(np.concatenate([ts[g] for ts, g in zip(grids, good)]),
-                      np.concatenate([p[g] for p, g in zip(pts, good)]))
+    return "".join(render_csv(
+        np.concatenate([ts[g] for ts, g in zip(grids, good)]),
+        np.concatenate([p[g] for p, g in zip(pts, good)])))
 
 
 @pytest.mark.parametrize("argv", [

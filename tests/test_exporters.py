@@ -11,8 +11,21 @@ import numpy as np
 import pytest
 
 from evolutes.envelope import developable_patch
-from evolutes.exporters import (_BLOCK, _text, atomic_write, render_csv,
+from evolutes import cli
+from evolutes.exporters import (_BLOCK, _lines, atomic_write, render_csv,
                                 render_json, render_obj, render_svg)
+
+
+def _csv(*args, **kw):
+    return "".join(render_csv(*args, **kw))
+
+
+def _obj(patch):
+    return "".join(render_obj(patch))
+
+
+def _svg(*args, **kw):
+    return "".join(render_svg(*args, **kw))
 
 
 def test_csv_roundtrips_full_precision():
@@ -20,7 +33,7 @@ def test_csv_roundtrips_full_precision():
     ts = np.sort(rng.uniform(0, 10, 40))
     pts = rng.standard_normal((40, 3))
     extra = rng.standard_normal(40)
-    text = render_csv(ts, pts, extras=[("k", extra)])
+    text = _csv(ts, pts, extras=[("k", extra)])
     lines = text.strip().split("\n")
     assert lines[0] == "t,x,y,z,k"
     back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
@@ -30,13 +43,13 @@ def test_csv_roundtrips_full_precision():
 
 
 def test_empty_polyline_gives_header_only():
-    assert render_csv([], np.zeros((0, 3))) == "t,x,y,z\n"
+    assert _csv([], np.zeros((0, 3))) == "t,x,y,z\n"
 
 
 def test_obj_counts(helix):
     patch = developable_patch(helix, "tangent", np.linspace(0.1, 1.0, 4),
                               rail_samples=3)
-    text = render_obj(patch)
+    text = _obj(patch)
     lines = text.strip().split("\n")
     v = [ln for ln in lines if ln.startswith("v ")]
     f = [ln for ln in lines if ln.startswith("f ")]
@@ -49,13 +62,13 @@ def test_obj_counts(helix):
 
 def test_obj_single_ruling_has_no_faces(helix):
     patch = developable_patch(helix, "tangent", [0.5], rail_samples=2)
-    text = render_obj(patch)
+    text = _obj(patch)
     assert text.count("\nv ") + text.startswith("v ") == 2
     assert "f " not in text
 
 
 def test_obj_single_sample_per_ruling_has_no_faces():
-    text = render_obj(SimpleNamespace(vertices=np.ones((5, 1, 3))))
+    text = _obj(SimpleNamespace(vertices=np.ones((5, 1, 3))))
     assert text.count("\nv ") == 5
     assert "\nf " not in text
 
@@ -81,14 +94,34 @@ def _table(rows, columns):
     return table
 
 
-def test_rows_past_one_chunk_keep_a_per_number_layout():
+def _streamed(pieces, tmp_path, capsys):
+    """The joined pieces, after checking that a file written by atomic_write
+    and the CLI's standard output hold the same text and that len counts
+    the pieces."""
+    text = "".join(pieces)
+    assert len(pieces) == sum(1 for _ in pieces) > 2
+    atomic_write(tmp_path / "streamed", pieces)
+    assert (tmp_path / "streamed").read_bytes() == text.encode()
+    capsys.readouterr()
+    cli._write(cli.RunConfig(source=("preset", "helix")), pieces)
+    assert capsys.readouterr().out == text
+    return text
+
+
+def test_rows_past_one_chunk_keep_a_per_number_layout(tmp_path, capsys):
+    # 14 blocks of 682 rows and a short one of 452; the file and standard
+    # output get the same text
     table = _table(10_000, 6)
-    text = render_csv(table[:, 0], table[:, 1:4],
-                      extras=[("a", table[:, 4]), ("b", table[:, 5])])
+    text = _streamed(render_csv(table[:, 0], table[:, 1:4],
+                                extras=[("a", table[:, 4]), ("b", table[:, 5])]),
+                     tmp_path, capsys)
     assert text.split("\n")[1:-1] == _layout(table, ",")
 
+    # vertices: 14 blocks of 1365 rows and one of 890; faces: 19 blocks of
+    # 1024 rows and one of 245
     grid = table.reshape(100, 200, 3)
-    lines = render_obj(SimpleNamespace(vertices=grid)).split("\n")
+    lines = _streamed(render_obj(SimpleNamespace(vertices=grid)), tmp_path,
+                      capsys).split("\n")
     n, m = grid.shape[:2]
     faces = [f"f {i * m + j + 1} {(i + 1) * m + j + 1} "
              f"{(i + 1) * m + j + 2} {i * m + j + 2}"
@@ -105,18 +138,18 @@ def test_rows_past_one_chunk_keep_a_per_number_layout():
     lo, hi = branch.min(axis=0), branch.max(axis=0)
     xs = (branch[:, 0] - lo[0]) * 100.0 + 10.0
     ys = (hi[1] - branch[:, 1]) * 100.0 + 10.0
-    path = render_svg([branch]).split('d="')[1].split('"')[0]
+    path = _svg([branch]).split('d="')[1].split('"')[0]
     assert path == "M " + " L ".join(_layout(np.column_stack([xs, ys]), " "))
 
 
 def test_svg_one_path_per_branch():
     b1 = np.stack([np.linspace(0, 1, 9), np.zeros(9)], axis=-1)
     b2 = np.stack([np.linspace(0, 1, 5), np.ones(5)], axis=-1)
-    text = render_svg([b1, b2])
+    text = _svg([b1, b2])
     assert text.count("<path ") == 2
     assert 'viewBox="' in text
     # single-point branches cannot be drawn
-    assert render_svg([b1[:1]]).count("<path ") == 0
+    assert _svg([b1[:1]]).count("<path ") == 0
 
 
 def _svg_per_branch(branches, scale=100.0, pad=10.0):
@@ -129,7 +162,7 @@ def _svg_per_branch(branches, scale=100.0, pad=10.0):
     else:
         lo = hi = np.zeros(2)
     size = (hi - lo) * scale + 2 * pad
-    width, height = _text(([size[:1], size[1:]], " ", "", "")).split()
+    width, height = "".join(_lines([size[:1], size[1:]], " ", "", "")).split()
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -138,10 +171,10 @@ def _svg_per_branch(branches, scale=100.0, pad=10.0):
     for branch in drawn:
         xs = (branch[:, 0] - lo[0]) * scale + pad
         ys = (hi[1] - branch[:, 1]) * scale + pad
-        parts += ['  <path d="M ', ((xs, ys), " ", " L ", ""),
+        parts += ['  <path d="M ', *_lines((xs, ys), " ", " L ", ""),
                   '" fill="none" stroke="black" stroke-width="1.5"/>\n']
     parts.append("</svg>\n")
-    return _text(*parts)
+    return "".join(parts)
 
 
 def test_svg_of_many_branches_as_one_call_per_branch():
@@ -156,7 +189,10 @@ def test_svg_of_many_branches_as_one_call_per_branch():
     branches[2][:, 0] = [-0.0, 5e-324, -5e-324]
     cases = [([], 100.0, 10.0), (branches[:1], 100.0, 10.0),
              (branches, 100.0, 10.0), (branches[3:], 0.37, 0.0),
-             (branches[1:3], 1e-300, 1e300)]
+             (branches[1:3], 1e-300, 1e300),
+             # paths that end on the last row of a block and on the
+             # second row of the next
+             ([branches[5], branches[1], branches[5]], 100.0, 10.0)]
     # the committed figure-eight pseudo-evolute: 16 branches
     text = (pathlib.Path(__file__).parents[1] / "outputs"
             / "fig8_pseudo.svg").read_text()
@@ -165,13 +201,13 @@ def test_svg_of_many_branches_as_one_call_per_branch():
     assert len(fig8) == 16
     cases.append((fig8, 100.0, 10.0))
     for drawn, scale, pad in cases:
-        assert (render_svg(drawn, scale=scale, pad=pad)
+        assert (_svg(drawn, scale=scale, pad=pad)
                 == _svg_per_branch(drawn, scale=scale, pad=pad))
 
 
 def test_svg_flips_y_axis():
     up = np.array([[0.0, 0.0], [0.0, 1.0]])
-    text = render_svg([up], scale=10.0, pad=0.0)
+    text = _svg([up], scale=10.0, pad=0.0)
     segment = text.split('d="')[1].split('"')[0]
     coords = [float(x) for x in segment.replace("M", " ").replace("L", " ")
               .replace(",", " ").split()]
@@ -195,12 +231,70 @@ def test_atomic_write_leaves_no_partials(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
+class _Failing:
+    """Pieces whose iteration raises after the first block of a table."""
+
+    def __init__(self, pieces, error):
+        self.pieces, self.error = pieces, error
+
+    def __iter__(self):
+        it = iter(self.pieces)
+        yield next(it)
+        yield next(it)
+        raise self.error
+
+
+def _full_disk(written):
+    """os.fdopen for a file whose write fails as on a full disk once a
+    piece is written."""
+    class Full(io.TextIOWrapper):
+        def write(self, text):
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(text)
+            return super().write(text)
+
+    def fdopen(fd, mode, **kw):
+        return Full(io.FileIO(fd, mode), **kw)
+    return fdopen
+
+
+def test_streaming_leaves_the_target_or_nothing(tmp_path, monkeypatch):
+    table = _table(5_000, 6)
+    pieces = render_csv(table[:, 0], table[:, 1:4])
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old\n")
+    with pytest.raises(ZeroDivisionError):
+        atomic_write(target, _Failing(pieces, ZeroDivisionError()))
+    written = []
+    monkeypatch.setattr("evolutes.exporters.os.fdopen", _full_disk(written))
+    with pytest.raises(OSError, match="No space left"):
+        atomic_write(target, pieces)
+    assert written == ["t,x,y,z\n"]
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_a_failed_write_exits_1_and_keeps_the_target(tmp_path, monkeypatch,
+                                                     capsys):
+    target = tmp_path / "knot.csv"
+    target.write_bytes(b"old\n")
+    monkeypatch.setattr("evolutes.exporters.os.fdopen", _full_disk([]))
+    assert cli.entry(["frenet", "--preset", "torus-knot", "--samples",
+                      "10000", "--out", str(target)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "io error: [Errno 28] No space left on device")
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["knot.csv"]
+
+
 def test_export_is_deterministic(tmp_path):
     ts = np.linspace(0, 1, 7)
     pts = np.stack([np.sin(ts), np.cos(ts), ts], axis=-1)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    atomic_write(p1, render_csv(ts, pts))
-    atomic_write(p2, render_csv(ts, pts))
+    pieces = render_csv(ts, pts)
+    atomic_write(p1, pieces)
+    atomic_write(p2, pieces)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -219,7 +313,7 @@ def _rows(table, sep, prefix=""):
 
 def _assert_as_repr(values, columns=4):
     table = np.asarray(values).reshape(-1, columns)
-    got = _text((table.T, ",", "\n", "\n"))
+    got = "".join(_lines(table.T, ",", "\n", "\n"))
     want = "\n".join(_rows(table, ",")) + "\n"
     if got != want:
         bad = next(i for i, (a, b) in enumerate(
@@ -270,7 +364,7 @@ def test_powers_of_two_as_repr():
 def test_schubfach_pitfalls_as_repr():
     # Java's C_TINY path would give 4.9e-324, its s >= 100 guard 7.9e-323;
     # f of 0.5 is 5 * 10**16, 16 trailing zeros to drop
-    assert _text(([[5e-324], [2.0**-1070], [0.5]], " ", "", "")) == (
+    assert "".join(_lines([[5e-324], [2.0**-1070], [0.5]], " ", "", "")) == (
         "5e-324 8e-323 0.5")
 
 
@@ -278,7 +372,7 @@ def test_integer_tables_as_repr():
     faces = np.arange(1, 4097 * 4 + 1).reshape(-1, 4)
     wide = np.array([[0, -1, 10**16, -(10**17 - 1)], [9, 10, 99, 100]])
     for table in (faces, faces[::-1].copy(), wide, faces.astype(np.int32)):
-        assert _text((table.T, " ", "\nf ", "\n")) == (
+        assert "".join(_lines(table.T, " ", "\nf ", "\n")) == (
             "\n".join(_rows(table, " ")).replace("\n", "\nf ") + "\n")
 
 
@@ -291,15 +385,18 @@ def test_every_number_of_the_outputs_as_repr():
     _assert_as_repr(numbers[:len(numbers) // 4 * 4])
 
 
-def test_rendering_peaks_below_two_and_a_half_times_its_text():
+def test_writing_peaks_below_a_quarter_of_its_text(tmp_path):
+    # the pieces are made as they are written: the text is never whole in
+    # memory (joined, it took twice its size)
     rng = np.random.default_rng(3)
     ts = np.sort(rng.uniform(0, 10, 65536))
     pts = rng.standard_normal((65536, 3))
     extras = [(name, rng.standard_normal(65536)) for name in ("k", "tau", "s")]
+    path = tmp_path / "table.csv"
     tracemalloc.start()
     try:
-        text = render_csv(ts, pts, extras)
+        atomic_write(path, render_csv(ts, pts, extras))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * len(text)
+    assert peak <= path.stat().st_size / 4
