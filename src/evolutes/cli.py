@@ -364,6 +364,9 @@ def entry(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("resource error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

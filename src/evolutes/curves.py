@@ -13,13 +13,12 @@ the frame equations at unit speed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import dop853
 from . import expr as ex
 from .errors import GeometryError
+from .taylor import antiderivative_jet, jet_mul_row
 
 __all__ = ["Curve", "ExprCurve", "FrenetODECurve",
            "branch_grids", "EPS_K", "EPS_TAU", "MIN_SPEED", "CUSP_GAP",
@@ -148,11 +147,11 @@ class FrenetODECurve(Curve):
     """Unit-speed open curve built from curvature and torsion expressions.
 
     It starts at the origin with the standard basis as its frame (T, N, B).
-    The frame system (T' = kN, N' = -kT + tB, B' = -tN, xi' = T) is
-    integrated once, reading k and t at all the stage times of a step in
-    one pass; the frame is re-orthonormalized after every accepted step.  Higher derivatives come from the frame equations themselves
-    together with exact derivatives of the curvature/torsion expressions,
-    not from differentiating the solver output.
+    The frame system (T' = kN, N' = -kT + tau B, B' = -tau N, xi' = T) is
+    integrated once, reading k and tau at all the stage times of a step in
+    one pass; the frame is re-orthonormalized after every accepted step.
+    Higher derivatives come from the frame equations, a row of T, N and B
+    at a time from the jets of k and tau, not from the solver output.
     """
 
     def __init__(self, curvature, torsion, domain):
@@ -167,31 +166,21 @@ class FrenetODECurve(Curve):
 
     def derivatives(self, t, order: int) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        a, b = self.domain
-        state = self._segments(np.clip(t, a, b))
-        n = len(t)
-        depth = max(order, 1)
-        T = np.empty((depth, n, 3))
-        N = np.empty((depth, n, 3))
-        B = np.empty((depth, n, 3))
-        T[0], N[0], B[0] = state[:, 3:6], state[:, 6:9], state[:, 9:12]
-        if depth > 1:
-            ktau = ex.jets((self.k_expr, self.tau_expr), t, depth - 2)
-            kj, tj = ktau[..., 0], ktau[..., 1]
-        for m in range(depth - 1):
-            accT = np.zeros((n, 3))
-            accN = np.zeros((n, 3))
-            accB = np.zeros((n, 3))
-            for j in range(m + 1):
-                c = math.comb(m, j)
-                accT += c * kj[j, :, None] * N[m - j]
-                accN += c * (-kj[j, :, None] * T[m - j] + tj[j, :, None] * B[m - j])
-                accB += -c * tj[j, :, None] * N[m - j]
-            T[m + 1], N[m + 1], B[m + 1] = accT, accN, accB
-        out = np.empty((order + 1, n, 3))
-        out[0] = state[:, 0:3]
-        out[1:] = T[:order]
-        return out
+        state = self._segments(np.clip(t, *self.domain))
+        # rows of shape (3, N): k and tau broadcast along the points
+        T, N, B = np.empty((3, max(order, 1), 3, len(t)))
+        T[0], N[0], B[0] = state[:, 3:].T.reshape(3, 3, -1)
+        if order > 1:
+            ktau = ex.jets((self.k_expr, self.tau_expr), t, order - 2)
+            k, tau = np.moveaxis(ktau, -1, 0)[:, :, None]
+        for m in range(order - 1):
+            # every row kernel writes into the frame (B[m + 1] holds k T
+            # until it is due): one without out pays for broadcasting shapes
+            jet_mul_row(k, N, m, out=T[m + 1])
+            np.subtract(jet_mul_row(tau, B, m, out=N[m + 1]),
+                        jet_mul_row(k, T, m, out=B[m + 1]), out=N[m + 1])
+            np.negative(jet_mul_row(tau, N, m, out=B[m + 1]), out=B[m + 1])
+        return antiderivative_jet(state[:, :3], T[:order].transpose(0, 2, 1))
 
     def __repr__(self):
         return (f"FrenetODECurve(k={ex.to_source(self.k_expr)!r}, "

@@ -18,7 +18,6 @@ is also satisfied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,10 +109,9 @@ def edge_cusps(family: PlaneFamily) -> np.ndarray:
     n, _ = family.jets(ts, 3)
     x = curve.derivatives(ts, 3)
     size = (np.linalg.norm(n[3], axis=-1)
-            * np.linalg.norm(edge_points(family, ts), axis=-1))
-    for j in range(4):
-        size += (math.comb(3, j) * np.linalg.norm(n[j], axis=-1)
-                 * np.linalg.norm(x[3 - j], axis=-1))
+            * np.linalg.norm(edge_points(family, ts), axis=-1)
+            + jet_mul(np.linalg.norm(n, axis=-1),
+                      np.linalg.norm(x, axis=-1))[3])
     if not np.any(np.abs(gap(ts)) > EDGE_NOISE * size):
         return np.empty(0)
     return find_roots(gap, a, b, closed=curve.closed)

@@ -28,8 +28,8 @@ import numpy as np
 from .curves import EPS_K, Curve
 from .frenet import ArclengthMap, FrenetEval, jet_sum, total_torsion
 from .roots import find_roots
-from .taylor import (arclength_derivative, jet_div, jet_dot, jet_mul,
-                     jet_sin_cos, jet_sqrt)
+from .taylor import (antiderivative_jet, arclength_derivative, jet_div,
+                     jet_dot, jet_mul, jet_sin_cos, jet_sqrt)
 
 __all__ = [
     "EPS_COS", "MongeEvoluteCurve", "monge_singularities",
@@ -120,9 +120,7 @@ class MongeInvoluteCurve(Curve):
         s, sign = _signed_arclength(self._smap, self._cusps, t)
         # string offset sign(l - s) T stays continuous through base cusps:
         # the tangent and the length element flip together
-        ls = np.empty((order + 2,) + fe.v.shape[1:])
-        ls[0] = sign * (self.length - s)
-        ls[1:] = -fe.v[: order + 1]
+        ls = antiderivative_jet(sign * (self.length - s), -fe.v[: order + 1])
         with np.errstate(all="ignore"):
             m = order + 1
             return jet_sum(fe.x[:m], jet_mul(ls, fe.T)[:m])

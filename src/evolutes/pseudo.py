@@ -28,7 +28,6 @@ rectifying developable and no pseudo-evolute at all.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -37,7 +36,8 @@ from .curves import CONSTANT_SPREAD, Curve
 from .errors import LineThroughEdge
 from .frenet import FrenetEval, jet_sum
 from .roots import find_roots
-from .taylor import arclength_derivative, jet_div, jet_mul, jet_sin_cos
+from .taylor import (arclength_derivative, jet_deflate, jet_div, jet_mul,
+                     jet_sin_cos)
 
 __all__ = [
     "pseudo_evolute_points", "PseudoEvoluteCurve",
@@ -85,10 +85,8 @@ def _limit_jets(curve: Curve, t, order: int) -> np.ndarray:
         ok = (e.max(axis=0) > 0.0) & (noise | ~below).all(axis=0)
         for jj in np.unique(j[ok]):
             rows = ok & (j == jj)
-            # jj! times the derivative jets of W and E over (t - t0)^jj
-            c = np.array([math.comb(i + jj, i) for i in range(m)])[:, None]
-            ratio = jet_div(W[jj: jj + m, rows] / c[..., None],
-                            E[jj: jj + m, rows] / c)
+            ratio = jet_div(jet_deflate(W[: jj + m, rows], jj),
+                            jet_deflate(E[: jj + m, rows], jj))
             out[:, rows] = fe.x[:m, rows] + ratio
     return out
 

@@ -39,7 +39,7 @@ from .curves import Curve
 from .errors import IdentityMonodromy, NotClosed, PureTranslation
 from .frenet import ArclengthMap, FrenetEval, regular_eval
 from .quadrature import CumulativeIntegral
-from .taylor import antiderivative_jet, jet_mul, jet_sin_cos
+from .taylor import antiderivative_jet, jet_cross_row, jet_mul, jet_sin_cos
 
 __all__ = [
     "Development", "PlanarIsometry", "monodromy",
@@ -79,8 +79,7 @@ class Development:
         fe = FrenetEval(self.curve, ts, order=max(order, 1) + 1)
         theta = self._theta.jets(fe, ts, order)
         sin_j, cos_j = jet_sin_cos(theta)
-        vel = np.stack([jet_mul(cos_j, fe.v[: len(cos_j)]),
-                        jet_mul(sin_j, fe.v[: len(sin_j)])], axis=-1)
+        vel = np.stack([jet_mul(cos_j, fe.v), jet_mul(sin_j, fe.v)], axis=-1)
         pos = antiderivative_jet(self.point(ts), vel)[: order + 1]
         return pos, theta
 
@@ -140,8 +139,8 @@ class TracedInvoluteCurve(Curve):
     CuspPoint or DegenerateCurvature.
 
     The defining field w x (P - xi) with w = tau v T is integrated once;
-    derivatives of any order follow from the same field by the Leibniz
-    rule, using exact jets of the base curve.
+    derivatives of any order follow from the same field, one row at a time
+    (``taylor.jet_cross_row``), using exact jets of the base curve.
 
     Only P depends on the solver's state, so w and xi are read from the
     panel polynomials of a CumulativeIntegral of (w, xi) over the base
@@ -176,11 +175,7 @@ class TracedInvoluteCurve(Curve):
         out = np.empty((order + 1, len(t), 3))
         out[0] = self._segments(t)
         for m in range(order):
-            acc = np.zeros((len(t), 3))
-            for j in range(m + 1):
-                c = math.comb(m, j)
-                acc += c * np.cross(w[j], out[m - j] - fe.x[m - j])
-            out[m + 1] = acc
+            jet_cross_row(w, out[: m + 1] - fe.x[: m + 1], m, out=out[m + 1])
         return out
 
     def __repr__(self):

@@ -7,16 +7,18 @@ vector jets of shape (M+1, N, 3) vectorized over N sample points.  Products
 and quotients follow the Leibniz rule; quotient, square root, sin/cos, exp,
 log and constant powers use the standard triangular recurrences (Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  Binary operations
-truncate to the shorter operand.
+truncate to the shorter operand.  The row kernels give one row of a
+product from the rows below it, for the ODE curves' recurrences, so every
+Leibniz sum and binomial of the package is formed in this module.
 
 The kernels accumulate each output row in place, from one scratch row per
 call, but their arithmetic is fixed: the terms of a Leibniz sum are added
 in ascending j, each product grouped (C * a) * b, and the components of a
 dot product summed (x + y) + z starting from +0.0, as np.sum sums three.
-So every output is bit-identical to the written-out loop forms
-(tests/test_taylor.py keeps them as an oracle).  That is a contract, not a
-nicety: the figures check compares artifacts with a slack at rounding
-level, and a reordered sum moves their last bits.
+So every output, a row kernel's included, is bit-identical to the
+written-out loop forms (tests/test_taylor.py keeps them as an oracle).
+That is a contract, not a nicety: the figures check compares artifacts
+with a slack at rounding level, and a reordered sum moves their last bits.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 __all__ = [
     "jet_mul", "jet_div", "jet_recip", "jet_sqrt", "jet_sin_cos", "jet_exp",
-    "jet_log", "jet_pow", "jet_dot", "jet_cross", "arclength_derivative",
+    "jet_log", "jet_pow", "jet_dot", "jet_cross", "jet_mul_row",
+    "jet_cross_row", "jet_deflate", "arclength_derivative",
     "antiderivative_jet",
 ]
 
@@ -93,16 +96,32 @@ def jet_mul(f, g):
     return _product(f, g, _degree(f), _degree(g))
 
 
+def jet_mul_row(f, g, m, out=None):
+    """Row m of jet_mul(f, g) from rows 0..m of f and g, into out if given;
+    the degrees that bound its terms are those rows', not the whole jets'."""
+    f, g = _match(f[: m + 1], g[: m + 1])
+    row = np.empty(_shape(f, g)[1:]) if out is None else out
+    return _mul_row(f, g, m, _degree(f), _degree(g), row, np.empty_like(row))
+
+
+def _mul_row(f, g, m, df, dg, row, term):
+    """Row m of the product of jets of degrees df and dg, summed in row."""
+    lo, hi = max(0, m - dg), min(m, df)
+    if lo > hi:                                 # past df + dg
+        row[...] = 0.0
+    else:
+        np.multiply(_C[m, lo], f[lo], out=row)
+        row *= g[m - lo]
+        _fold(row, term, np.add, m, range(lo + 1, hi + 1), f, g, m)
+    return row
+
+
 def _product(f, g, df, dg):
     """Leibniz product of two jets of one length, of degrees df and dg."""
     out = np.zeros(_shape(f, g))
     term = np.empty(out.shape[1:])
     for m in range(min(len(f), df + dg + 1)):
-        lo, hi = max(0, m - dg), min(m, df)
-        row = out[m, ...]
-        np.multiply(_C[m, lo], f[lo], out=row)
-        row *= g[m - lo]
-        _fold(row, term, np.add, m, range(lo + 1, hi + 1), f, g, m)
+        _mul_row(f, g, m, df, dg, out[m, ...], term)
     return out
 
 
@@ -280,16 +299,29 @@ def jet_cross(f, g):
     m = _orders(min(len(f), len(g)))
     f, g = np.asarray(f)[:m], np.asarray(g)[:m]
     out = np.empty(_shape(f, g))
-    term = np.empty(out.shape[1:])
     for k in range(m):
-        row = out[k, ...]
-        _cross(f[0], g[k], out=row)
-        row *= _C[k, 0]
-        for j in range(1, k + 1):
-            _cross(f[j], g[k - j], out=term)
-            term *= _C[k, j]
-            row += term
+        jet_cross_row(f, g, k, out[k, ...])
     return out
+
+
+def jet_cross_row(f, g, m, out=None):
+    """Row m of jet_cross(f, g) from rows 0..m of f and g, into out if given."""
+    row = _cross(f[0], g[m], out=out)
+    row *= _C[m, 0]
+    term = np.empty_like(row)
+    for j in range(1, m + 1):
+        _cross(f[j], g[m - j], out=term)
+        term *= _C[m, j]
+        row += term
+    return row
+
+
+def jet_deflate(f, j):
+    """Jet of j! f / (t - t0)^j, for an f that vanishes to order j at t0:
+    row i is f[i + j] / C(i + j, j)."""
+    f = np.asarray(f)
+    c = _C[j: _orders(len(f)), j]
+    return f[j:] / c.reshape(c.shape + (1,) * (f.ndim - 1))
 
 
 def arclength_derivative(f, speed):

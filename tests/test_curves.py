@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from evolutes import expr as ex
 from evolutes import preset, preset_names
 from evolutes.curves import ExprCurve, FrenetODECurve, branch_grids
 from evolutes.evolute import EvoluteCurve
@@ -112,6 +113,49 @@ def test_ode_curve_jets_are_exact_derivatives():
               - curve.derivatives(ts - h, m + 1)[m]) / (2 * h)
         scale = 1.0 + np.abs(jets[m + 1]).max()
         assert np.max(np.abs(jets[m + 1] - fd)) < 1e-7 * scale
+
+
+def _frame_loop(curve, t, order):
+    """FrenetODECurve.derivatives as a written-out Leibniz loop, the form
+    the rows of taylor.jet_mul_row replaced; kept as an oracle."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    state = curve._segments(np.clip(t, *curve.domain))
+    n, depth = len(t), max(order, 1)
+    T, N, B = (np.empty((depth, n, 3)) for _ in range(3))
+    T[0], N[0], B[0] = state[:, 3:6], state[:, 6:9], state[:, 9:12]
+    if depth > 1:
+        ktau = ex.jets((curve.k_expr, curve.tau_expr), t, depth - 2)
+        kj, tj = ktau[..., 0], ktau[..., 1]
+    for m in range(depth - 1):
+        accT, accN, accB = (np.zeros((n, 3)) for _ in range(3))
+        for j in range(m + 1):
+            c = math.comb(m, j)
+            accT += c * kj[j, :, None] * N[m - j]
+            accN += c * (-kj[j, :, None] * T[m - j]
+                         + tj[j, :, None] * B[m - j])
+            accB += -c * tj[j, :, None] * N[m - j]
+        T[m + 1], N[m + 1], B[m + 1] = accT, accN, accB
+    out = np.empty((order + 1, n, 3))
+    out[0] = state[:, 0:3]
+    out[1:] = T[:order]
+    return out
+
+
+@pytest.mark.parametrize("k, tau, span", [
+    ("1/(2 + sin(t))", "0.3", 8.0), ("1+t", "1", 2.0),
+    ("2+sin(3*t)", "cos(5*t)", 4.0)])
+def test_ode_curve_jets_match_the_loop_form(k, tau, span):
+    # N' = tau B - k T sums its two products apart, where the loop summed
+    # them term by term: rows 0 to 3 keep every bit, the rows above move
+    # at rounding level
+    curve = FrenetODECurve(k, tau, (0.0, span))
+    ts = np.linspace(0.0, span, 433)
+    for order in range(9):
+        got, want = curve.derivatives(ts, order), _frame_loop(curve, ts, order)
+        assert got.shape == want.shape
+        assert got[:4].tobytes() == want[:4].tobytes()
+        err = np.abs(got - want).max(axis=(1, 2))
+        assert np.all(err <= 1e-15 * np.abs(want).max(axis=(1, 2)))
 
 
 def test_arclength_map_roundtrip(helix):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from evolutes import preset
-from evolutes.curves import EPS_TAU, ExprCurve
+from evolutes.curves import EPS_TAU, ExprCurve, FrenetODECurve
 from evolutes.errors import CuspPoint
 from evolutes.evolute import (EvoluteCurve, conformal_torsion,
                               evolute_curvature_torsion,
@@ -140,6 +140,26 @@ def test_evolute_escapes_of_figure_eight(fig8):
     escapes, _ = evolute_singularities(fig8)
     want = np.array([1.0, 3.0, 5.0, 7.0]) * math.pi / 4.0
     np.testing.assert_allclose(escapes, want, atol=1e-9)
+
+
+def _sigma_pair(gap):
+    # unit speed and tau = 1, so sigma = r + r'' = (t - 0.7)^2 - gap
+    return FrenetODECurve(f"1/((t-0.7)^2-2-{gap}+5*cos(t-0.7))", "1",
+                          (0.0, 1.0))
+
+
+@pytest.mark.xfail(reason=(
+    "the sigma zeros 0.7 +- 1e-4 lie inside one interval of the scan "
+    "(width 4.9e-4), at whose ends sigma has one sign, so no cusp is "
+    "found and the swallowtail is drawn as a smooth arc"))
+def test_close_sigma_zeros_inside_one_scan_interval():
+    _, cusps = evolute_singularities(_sigma_pair("1e-8"))
+    np.testing.assert_allclose(cusps, [0.7 - 1e-4, 0.7 + 1e-4], atol=1e-6)
+
+
+def test_sigma_zeros_four_scan_intervals_apart_are_cusps():
+    _, cusps = evolute_singularities(_sigma_pair("1e-6"))
+    np.testing.assert_allclose(cusps, [0.7 - 1e-3, 0.7 + 1e-3], atol=1e-6)
 
 
 def test_evolute_rows_at_torsion_zeros_are_nan(fig8):

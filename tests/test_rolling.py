@@ -10,6 +10,7 @@ from evolutes.evolute import EvoluteCurve
 from evolutes.frenet import ArclengthMap, FrenetEval, total_curvature
 from evolutes.rolling import (Development, PlanarIsometry, TracedInvoluteCurve,
                               _trace_rhs, closed_involute, monodromy)
+from evolutes.taylor import jet_mul
 
 
 def test_development_preserves_length_and_curvature(knot):
@@ -175,3 +176,27 @@ def test_involute_field_matches_the_direct_formula(name):
     rel = (np.linalg.norm(got - want, axis=-1)
            / np.linalg.norm(want, axis=-1))
     assert rel.max() < 1e-13
+
+
+def _trace_loop(inv, t, order):
+    """TracedInvoluteCurve.derivatives as a written-out Leibniz loop, the
+    form the rows of taylor.jet_cross_row replaced; kept as an oracle."""
+    t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), *inv.domain)
+    fe = FrenetEval(inv.base, t, order=order + 2)
+    w = jet_mul(fe.tau, fe.d1)
+    out = np.empty((order + 1, len(t), 3))
+    out[0] = inv._segments(t)
+    for m in range(order):
+        acc = np.zeros((len(t), 3))
+        for j in range(m + 1):
+            acc += math.comb(m, j) * np.cross(w[j], out[m - j] - fe.x[m - j])
+        out[m + 1] = acc
+    return out
+
+
+def test_traced_jets_are_bit_identical_to_the_loop_form(knot):
+    inv = closed_involute(knot)
+    ts = np.linspace(*knot.domain, 433)
+    for order in range(1, 6):
+        got = inv.derivatives(ts, order)
+        assert got.tobytes() == _trace_loop(inv, ts, order).tobytes()

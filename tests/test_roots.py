@@ -104,7 +104,7 @@ def test_tight_cluster_resolved():
     np.testing.assert_allclose(roots, [1.0, 1.01, 2.5], atol=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(reason=(
     "both roots lie inside one scan interval, at whose ends f has one "
     "sign, so the scan steps over the pair and returns none"))
 def test_close_pair_inside_one_scan_interval():

@@ -5,15 +5,17 @@ leading axis; kernels must reproduce the derivatives of products, quotients,
 square roots, trig pairs, exp, log, constant powers, and arclength
 reparametrizations.
 """
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from evolutes.frenet import FrenetEval
 from evolutes.taylor import (_cross, antiderivative_jet, arclength_derivative,
-                             jet_cross, jet_div, jet_dot, jet_exp, jet_log,
-                             jet_mul, jet_pow, jet_recip, jet_sin_cos,
-                             jet_sqrt)
+                             jet_cross, jet_cross_row, jet_deflate, jet_div,
+                             jet_dot, jet_exp, jet_log, jet_mul, jet_mul_row,
+                             jet_pow, jet_recip, jet_sin_cos, jet_sqrt)
 
 _T = sp.Symbol("t")
 
@@ -131,6 +133,15 @@ def test_antiderivative_jet_rows():
     assert out.shape[0] == FJ.shape[0] + 1
     _close(out[0], anchor, tol=0)
     _close(out[1:], FJ, tol=0)
+
+
+def test_jet_deflate_divides_out_a_zero_of_order_j():
+    # j! (t - t0)^j G / (t - t0)^j is j! G
+    t0 = sp.Rational(7, 10)
+    at = np.array([0.7])
+    for j in range(4):
+        f = _jet_of((_T - t0) ** j * G, at, ORDER + j)
+        _close(jet_deflate(f, j), math.factorial(j) * _jet_of(G, at, ORDER))
 
 
 def test_orders_beyond_the_binomial_table_raise_value_error(helix):
@@ -430,3 +441,49 @@ def test_jet_dot_sums_an_all_negative_zero_term_to_plus_zero():
     for a, b in ((f, g), (g, f)):
         _same(jet_dot(a, b), _ref_dot(a, b))
     assert not np.signbit(jet_dot(f, g)[:, 0]).any()
+
+
+def _finite_jet(rng, shape, degree=None):
+    """Finite values over ten decades and both signs; rows past degree are
+    +0.0, and some jets have a zero row of either sign below nonzero ones."""
+    jet = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5, size=shape)
+    if degree is not None:
+        jet[degree + 1:] = 0.0
+    elif len(jet) > 2 and rng.random() < 0.5:
+        jet[rng.integers(1, len(jet) - 1)] = rng.choice([-0.0, 0.0])
+    return jet
+
+
+@pytest.mark.parametrize("name", ["mul", "cross"])
+def test_row_kernels_are_the_rows_of_the_products(name):
+    whole, row = {"mul": (jet_mul, jet_mul_row),
+                  "cross": (jet_cross, jet_cross_row)}[name]
+    rng = np.random.default_rng(17)
+    for rows in (1, 2, 5, 9, 16):
+        vec, pairs = (rows, 4, 3), []
+        shapes = [(vec, vec)]
+        if name == "mul":       # a scalar jet lifted against a vector jet
+            shapes += [((rows, 4), vec), (vec, (rows, 4)),
+                       ((rows, 4), (rows, 4)), ((rows,), (rows,))]
+        for sf, sg in shapes:
+            # random; affine against random; both affine; constant
+            for df, dg in ((None, None), (1, None), (1, 1), (0, 1)):
+                pairs.append((_finite_jet(rng, sf, df),
+                              _finite_jet(rng, sg, dg)))
+        for f, g in pairs:
+            want = whole(f, g)
+            for m in range(len(want)):
+                _same(row(f, g, m), want[m])
+                out = np.empty(want.shape[1:])
+                assert row(f, g, m, out) is out
+                _same(out, want[m])
+
+
+def test_jet_deflate_is_the_division_by_binomials():
+    rng = np.random.default_rng(23)
+    for shape in ((12,), (12, 4), (12, 4, 3)):
+        f = rng.normal(size=shape)
+        for j in range(6):
+            c = np.array([math.comb(i + j, i) for i in range(12 - j)])
+            _same(jet_deflate(f, j),
+                  f[j:] / c.reshape(c.shape + (1,) * (f.ndim - 1)))
