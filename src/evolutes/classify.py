@@ -8,8 +8,11 @@ SPHERICAL_SIGMA everywhere (a spherical curve) collapses it to a point;
 constant tau/k (a cylindrical curve) sends the pseudo-evolute to infinity;
 constant k cos(alpha) (a circle, say) collapses the Monge evolute to a
 point.  Constant means a relative spread of at most CONSTANT_SPREAD.
-Escapes and cusps are the roots of one shared search per construction,
-made by its own module's ``*_singularities``.
+Escapes and cusps are the roots of one shared search per call: the scan
+rows of every construction the checks leave pending, each module's
+``*_scan_rows``, from one FrenetEval per call of f.  The rows keep their
+own brackets, so each construction's roots are those of its module's
+``*_singularities``.
 """
 from __future__ import annotations
 
@@ -19,34 +22,41 @@ from typing import Callable
 
 import numpy as np
 
+from . import evolute, monge, pseudo
 from .curves import CONSTANT_SPREAD, EPS_K, EPS_TAU, SPHERICAL_SIGMA, Curve
 from .errors import (DegenerateCurvature, GeometryError, InfinityEscape,
                      TorsionVanishes)
-from .evolute import EvoluteCurve, evolute_singularities
+from .evolute import EvoluteCurve, evolute_scan_rows
 from .frenet import FrenetEval
-from .monge import MongeEvoluteCurve, monge_singularities
+from .monge import MongeEvoluteCurve, monge_scan_rows
 from .pseudo import (PseudoEvoluteCurve, is_constant, is_cylindrical,
-                     pseudo_singularities)
+                     pseudo_scan_rows)
+from .roots import find_roots
 
 __all__ = ["Verdict", "classify", "probe_grid"]
 
 PROBE_SAMPLES = 512
 PROBE_MARGIN = 1e-6     # probe points this close to a declared cusp are dropped
+# the FrenetEval order each construction's probe checks read
+_PROBE_ORDER = {"evolute": 4, "pseudo-evolute": 2, "monge-evolute": 2}
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """``error`` is the degeneracy to raise, or None; ``cuts`` are the
-    branch cuts (escapes, cusps, declared cusps); ``point`` maps t to points."""
+    """``error`` is the degeneracy to raise, or None; ``failed`` marks an
+    error that classifying raised (a DomainError, say) rather than found;
+    ``cuts`` are the branch cuts (escapes, cusps, declared cusps);
+    ``point`` maps t to points."""
 
     construction: str
-    error: GeometryError | None
+    error: Exception | None
     point: Callable | None
     spherical: bool = False
     cylindrical: bool = False
     escapes: tuple = ()
     cusps: tuple = ()
     cuts: tuple = ()
+    failed: bool = False
 
 
 def probe_grid(curve: Curve, samples: int) -> np.ndarray:
@@ -62,13 +72,32 @@ def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
-def classify(curve: Curve, construction: str, samples: int,
-             alpha0: float = 0.0) -> Verdict:
-    """Existence, escapes and cusps of one construction on the curve."""
-    ts = probe_grid(curve, min(samples, PROBE_SAMPLES))
-    t0 = float(ts[0]) if len(ts) else None
-    fe = FrenetEval(curve, ts, order=4 if construction == "evolute" else 2)
+def classify(curve: Curve, constructions: tuple, samples: int,
+             alpha0: float = 0.0, probe: FrenetEval | None = None) -> tuple:
+    """Existence, escapes and cusps of each construction on the curve: one
+    Verdict each, from one probe FrenetEval and one root search.  A higher
+    jet order can raise where a lower one does not, so where the joint pass
+    raises, each construction is classified alone and keeps its own
+    outcome.  ``probe``, a FrenetEval the caller already has, is the probe
+    if it is of the probe grid and of at least the order the checks read."""
+    for construction in constructions:
+        if construction not in _PROBE_ORDER:
+            raise ValueError(f"unknown construction {construction!r}")
+    try:
+        return _classify(curve, constructions, samples, alpha0, probe)
+    except (GeometryError, ValueError) as exc:
+        if len(constructions) > 1:
+            return tuple(classify(curve, (c,), samples, alpha0, probe)[0]
+                         for c in constructions)
+        return (Verdict(constructions[0], exc, None, failed=True),)
+
+
+def _probe_checks(curve: Curve, construction: str, fe: FrenetEval,
+                  alpha0: float):
+    """The construction's checks on the probe fe: the Verdict when one
+    decides it, else (point, scan order, scan rows of a FrenetEval)."""
     verdict = partial(Verdict, construction)
+    t0 = float(fe.t[0]) if len(fe.t) else None
     if not np.any(fe.k[0] > EPS_K):
         return verdict(DegenerateCurvature(
             f"curvature vanishes identically (k <= EPS_K={EPS_K:g})", t=t0),
@@ -82,27 +111,49 @@ def classify(curve: Curve, construction: str, samples: int,
         sigma = fe.sigma[0][np.isfinite(fe.sigma[0])]
         if sigma.size and np.all(np.abs(sigma) <= SPHERICAL_SIGMA):
             return verdict(None, point, spherical=True, cuts=curve.cusps)
-        escapes, cusps = map(_floats, evolute_singularities(curve))
-        if escapes:
-            return verdict(TorsionVanishes("torsion vanishes", t=escapes[0]),
-                           point, escapes=escapes)
-    elif construction == "pseudo-evolute":
+        return point, evolute.SCAN_ORDER, evolute_scan_rows
+    if construction == "pseudo-evolute":
         point = PseudoEvoluteCurve(curve).point
         if is_cylindrical(curve):
             return verdict(InfinityEscape(
                 "tau/k is constant (cylindrical curve): the pseudo-evolute"
                 " escapes to infinity everywhere"), point, cylindrical=True)
-        escapes, cusps = map(_floats, pseudo_singularities(curve))
-    elif construction == "monge-evolute":
-        ev = MongeEvoluteCurve(curve, alpha0, closed=curve.closed)
-        point = ev.point
-        if is_constant(fe.k[0] * np.cos(ev.alpha(ts))):
-            return verdict(GeometryError(
-                "k cos(alpha) is constant (relative spread <= CONSTANT_SPREAD="
-                f"{CONSTANT_SPREAD:g}): the Monge evolute degenerates to a"
-                " point", t=t0), point)
-        escapes, cusps = map(_floats, monge_singularities(ev))
-    else:
-        raise ValueError(f"unknown construction {construction!r}")
-    return verdict(None, point, escapes=escapes, cusps=cusps,
-                   cuts=escapes + cusps + curve.cusps)
+        return point, pseudo.SCAN_ORDER, pseudo_scan_rows
+    ev = MongeEvoluteCurve(curve, alpha0, closed=curve.closed)
+    if is_constant(fe.k[0] * np.cos(ev.alpha(fe.t))):
+        return verdict(GeometryError(
+            "k cos(alpha) is constant (relative spread <= CONSTANT_SPREAD="
+            f"{CONSTANT_SPREAD:g}): the Monge evolute degenerates to a"
+            " point", t=t0), ev.point)
+    return ev.point, monge.SCAN_ORDER, partial(monge_scan_rows, ev)
+
+
+def _classify(curve, constructions, samples, alpha0, probe=None) -> tuple:
+    ts = probe_grid(curve, min(samples, PROBE_SAMPLES))
+    order = max(_PROBE_ORDER[c] for c in constructions)
+    fe = probe
+    if fe is None or fe.order < order or not np.array_equal(fe.t, ts):
+        fe = FrenetEval(curve, ts, order=order)
+    verdicts = [_probe_checks(curve, c, fe, alpha0) for c in constructions]
+    pending = [i for i, v in enumerate(verdicts) if not isinstance(v, Verdict)]
+    if not pending:
+        return tuple(verdicts)
+    scan_order = max(verdicts[i][1] for i in pending)
+
+    def scan(t):
+        fe = FrenetEval(curve, t, order=scan_order)
+        return [row for i in pending for row in verdicts[i][2](fe)]
+
+    a, b = curve.domain
+    roots = iter(find_roots(scan, a, b, closed=curve.closed))
+    for i in pending:
+        escapes, cusps = _floats(next(roots)), _floats(next(roots))
+        verdict = partial(Verdict, constructions[i], point=verdicts[i][0],
+                          escapes=escapes)
+        if constructions[i] == "evolute" and escapes:
+            verdicts[i] = verdict(TorsionVanishes("torsion vanishes",
+                                                  t=escapes[0]))
+        else:
+            verdicts[i] = verdict(None, cusps=cusps,
+                                  cuts=escapes + cusps + curve.cusps)
+    return tuple(verdicts)

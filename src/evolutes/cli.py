@@ -175,7 +175,7 @@ def _cmd_frenet(cfg: RunConfig, curve: Curve) -> int:
 
 def _cmd_construction(cfg: RunConfig, curve: Curve, construction) -> int:
     """evolute, pseudo-evolute, monge-evolute: branches between singularities."""
-    verdict = classify(curve, construction, cfg.samples, cfg.alpha0)
+    verdict, = classify(curve, (construction,), cfg.samples, cfg.alpha0)
     if verdict.error is not None:
         raise verdict.error
     grids = branch_grids(curve.domain, verdict.cuts, cfg.samples)

@@ -23,7 +23,7 @@ from .roots import find_roots
 from .taylor import (arclength_derivative, jet_div, jet_mul, jet_recip)
 
 __all__ = [
-    "EvoluteCurve", "evolute_singularities",
+    "EvoluteCurve", "evolute_scan_rows", "evolute_singularities",
     "osculating_sphere", "osculating_circle",
     "evolute_curvature_torsion", "interior_sign", "conformal_torsion",
     "second_evolute_residual", "osculating_circles_disjoint",
@@ -61,14 +61,21 @@ class EvoluteCurve(Curve):
         return f"EvoluteCurve({self.base!r})"
 
 
+SCAN_ORDER = 4      # the FrenetEval order evolute_scan_rows reads
+
+
+def evolute_scan_rows(fe: FrenetEval) -> tuple:
+    """Row 0 of the torsion, zero where the evolute diverges, and of sigma,
+    zero at its cusps."""
+    return fe.tau[0], fe.sigma[0]
+
+
 def evolute_singularities(curve: Curve) -> tuple:
-    """(escapes, cusps) of the evolute from one search: the zeros of the
-    torsion, where it diverges, and the zeros of sigma, its cusps."""
-    def scan(ts):
-        fe = FrenetEval(curve, ts, order=4)
-        return np.stack([fe.tau[0], fe.sigma[0]])
+    """(escapes, cusps) of the evolute from one search of its scan rows."""
     a, b = curve.domain
-    return find_roots(scan, a, b, closed=curve.closed)
+    return find_roots(
+        lambda ts: evolute_scan_rows(FrenetEval(curve, ts, order=SCAN_ORDER)),
+        a, b, closed=curve.closed)
 
 
 def osculating_sphere(curve: Curve, t: float):

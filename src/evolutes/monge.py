@@ -32,7 +32,7 @@ from .taylor import (antiderivative_jet, arclength_derivative, jet_div,
                      jet_dot, jet_mul, jet_sin_cos, jet_sqrt)
 
 __all__ = [
-    "EPS_COS", "MongeEvoluteCurve", "monge_singularities",
+    "EPS_COS", "MongeEvoluteCurve", "monge_scan_rows", "monge_singularities",
     "monge_evolutes_closed", "MongeInvoluteCurve",
     "string_residual", "distance_identity_residual", "polar_line_residual",
     "offset_angles", "envelope_meetings", "signed_length",
@@ -74,18 +74,27 @@ class MongeEvoluteCurve(Curve):
         return f"MongeEvoluteCurve({self.base!r}, alpha0={self.alpha0})"
 
 
+SCAN_ORDER = 4      # the FrenetEval order monge_scan_rows reads
+
+
+def monge_scan_rows(evolute: MongeEvoluteCurve, fe: FrenetEval) -> tuple:
+    """Row 0 of cos(alpha), zero where the Monge evolute diverges, and of
+    (k cos(alpha))', zero at its cusps; fe is of its base curve."""
+    _, cos_j = jet_sin_cos(evolute._alpha.jets(fe, fe.t, 3))
+    with np.errstate(all="ignore"):
+        rate = arclength_derivative(jet_mul(fe.k, cos_j), fe.v)
+    return cos_j[0], rate[0]
+
+
 def monge_singularities(evolute: MongeEvoluteCurve) -> tuple:
-    """(escapes, cusps) of the Monge evolute from one search: the zeros of
-    cos(alpha), where it diverges, and the critical points of k cos(alpha),
-    its cusps."""
-    def scan(ts):
-        fe = FrenetEval(evolute.base, ts, order=4)
-        _, cos_j = jet_sin_cos(evolute._alpha.jets(fe, ts, 3))
-        with np.errstate(all="ignore"):
-            rate = arclength_derivative(jet_mul(fe.k, cos_j), fe.v)
-        return np.stack([cos_j[0], rate[0]])
-    a, b = evolute.base.domain
-    return find_roots(scan, a, b, closed=evolute.base.closed)
+    """(escapes, cusps) of the Monge evolute from one search of its scan
+    rows."""
+    base = evolute.base
+    a, b = base.domain
+    return find_roots(
+        lambda ts: monge_scan_rows(evolute,
+                                   FrenetEval(base, ts, order=SCAN_ORDER)),
+        a, b, closed=base.closed)
 
 
 def monge_evolutes_closed(curve: Curve, torsion: float | None = None) -> bool:

@@ -41,7 +41,7 @@ from .taylor import (arclength_derivative, jet_deflate, jet_div, jet_mul,
 
 __all__ = [
     "pseudo_evolute_points", "PseudoEvoluteCurve",
-    "pseudo_singularities", "is_cylindrical", "is_constant",
+    "pseudo_scan_rows", "pseudo_singularities", "is_cylindrical", "is_constant",
     "geodesic_residual", "PseudoInvoluteCurve",
 ]
 
@@ -129,16 +129,24 @@ class PseudoEvoluteCurve(Curve):
         return f"PseudoEvoluteCurve({self.base!r})"
 
 
+SCAN_ORDER = 5      # the FrenetEval order pseudo_scan_rows reads
+
+
+def pseudo_scan_rows(fe: FrenetEval) -> tuple:
+    """Row 0 of (tau/k)', zero where the pseudo-evolute diverges, and of
+    (tau/k)'', zero at its cusps (arclength derivatives)."""
+    with np.errstate(all="ignore"):
+        rate = arclength_derivative(jet_div(fe.tau, fe.k), fe.v)
+        return rate[0], arclength_derivative(rate, fe.v)[0]
+
+
 def pseudo_singularities(curve: Curve) -> tuple:
-    """(escapes, cusps) of the pseudo-evolute from one search: the zeros of
-    (tau/k)', where it diverges, and of (tau/k)'', its cusps."""
-    def scan(ts):
-        fe = FrenetEval(curve, ts, order=5)
-        with np.errstate(all="ignore"):
-            rate = arclength_derivative(jet_div(fe.tau, fe.k), fe.v)
-            return np.stack([rate[0], arclength_derivative(rate, fe.v)[0]])
+    """(escapes, cusps) of the pseudo-evolute from one search of its scan
+    rows."""
     a, b = curve.domain
-    return find_roots(scan, a, b, closed=curve.closed)
+    return find_roots(
+        lambda ts: pseudo_scan_rows(FrenetEval(curve, ts, order=SCAN_ORDER)),
+        a, b, closed=curve.closed)
 
 
 def is_cylindrical(curve: Curve) -> bool:

@@ -78,8 +78,11 @@ def _residuals(fe: FrenetEval) -> dict:
 
 
 def _verdict_block(verdict: Verdict) -> dict:
-    """The report's view of an evolute or pseudo-evolute verdict."""
+    """The report's view of an evolute or pseudo-evolute verdict; a failed
+    one raises its error."""
     err = verdict.error
+    if verdict.failed:
+        raise err
     reason = None if err is None else (
         err.reason if err.t is None else f"{err.reason} at t≈{err.t:.6g}")
     if verdict.construction == "evolute":
@@ -162,10 +165,10 @@ def curve_report(curve: Curve, samples: int = 1024,
     attempt("total_torsion", lambda: float(torsion_angle().total))
     attempt("total_absolute_torsion",
             lambda: float(torsion_angle().variation))
-    for key, construction in (("evolute", "evolute"),
-                              ("pseudo_evolute", "pseudo-evolute")):
-        attempt(key, lambda: _verdict_block(
-            classify(curve, construction, samples)))
+    verdicts = classify(curve, ("evolute", "pseudo-evolute"), samples,
+                        probe=fe)
+    for key, verdict in zip(("evolute", "pseudo_evolute"), verdicts):
+        attempt(key, lambda: _verdict_block(verdict))
     if curve.closed:
         attempt("monge_evolutes_closed", lambda: bool(
             monge_evolutes_closed(curve, torsion_angle().total)))

@@ -1,13 +1,32 @@
-"""The singularity classifier: one verdict for the CLI and the report."""
-import importlib
+"""The singularity classifier: one verdict for the CLI and the report.
+
+The joint classification is checked against one call per construction on
+the presets and on the first shapes of the benchmark's unfiltered draw
+(``perfbench/workloads.py``, ``_draw`` with degenerate shapes kept).
+``check_joint_classify`` runs that check on any number of shapes:
+
+    PYTHONPATH=src:tests python -c 'import test_classify as t; t.check_joint_classify(120)'
+"""
 import json
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from evolutes import preset, preset_names
-from evolutes.classify import classify
+from evolutes.classify import PROBE_SAMPLES, _classify, classify, probe_grid
 from evolutes.cli import entry
-from evolutes.curves import ExprCurve
+from evolutes.curves import ExprCurve, FrenetODECurve
+from evolutes.errors import GeometryError
+from evolutes.frenet import FrenetEval
+from evolutes.report import curve_report
+from evolutes.roots import SCAN_SAMPLES
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+CONSTRUCTIONS = ("evolute", "pseudo-evolute", "monge-evolute")
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -26,17 +45,17 @@ def test_cli_exit_codes_agree_with_the_report(name, tmp_path, capsys):
 
 def test_verdicts_carry_branch_cuts():
     cusp = preset("cusp-curve")
-    verdict = classify(cusp, "pseudo-evolute", 512)
+    verdict, = classify(cusp, ("pseudo-evolute",), 512)
     assert verdict.error is None
     assert set(verdict.cuts) == (set(verdict.escapes) | set(verdict.cusps)
                                  | set(cusp.cusps))
-    sphere = classify(preset("spherical"), "evolute", 512)
+    sphere, = classify(preset("spherical"), ("evolute",), 512)
     assert sphere.spherical and sphere.error is None and sphere.cusps == ()
 
 
 def test_planar_curve_is_not_spherical():
     circle = ExprCurve("cos(t), sin(t), 0", (0.0, 1.0))
-    verdict = classify(circle, "evolute", 512)
+    verdict, = classify(circle, ("evolute",), 512)
     assert not verdict.spherical
     assert "EPS_TAU" in str(verdict.error)
     assert verdict.error.t == 0.0
@@ -53,22 +72,124 @@ ROOT_CALLS = {
 }
 
 
+def _count_searches(monkeypatch) -> list:
+    """Record the calls of f of every root search the package makes: one
+    list of their sizes per search, appended as it starts."""
+    searches = []
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("evolutes.") and name != "evolutes.roots"
+                and hasattr(module, "find_roots")):
+            def counted(f, *args, _find=module.find_roots, **kw):
+                calls = []
+
+                def g(t):
+                    calls.append(len(t))
+                    return f(t)
+                searches.append(calls)
+                return _find(g, *args, **kw)
+            monkeypatch.setattr(module, "find_roots", counted)
+    return searches
+
+
 @pytest.mark.parametrize("name,construction", sorted(ROOT_CALLS))
 def test_one_root_search_per_construction(name, construction, monkeypatch):
     # a work-count gate: counts do not depend on the machine
-    searches = []
-    for module in ("evolute", "pseudo", "monge"):
-        module = importlib.import_module(f"evolutes.{module}")
-
-        def counted(f, *args, _find=module.find_roots, **kw):
-            calls = []
-
-            def g(t):
-                calls.append(len(t))
-                return f(t)
-            searches.append(calls)
-            return _find(g, *args, **kw)
-        monkeypatch.setattr(module, "find_roots", counted)
-    classify(preset(name), construction, 512)
+    searches = _count_searches(monkeypatch)
+    classify(preset(name), (construction,), 512)
     assert len(searches) == 1
     assert len(searches[0]) <= ROOT_CALLS[name, construction]
+
+
+# calls of f one report makes, at most: one search for the evolute and the
+# pseudo-evolute together, where two searches took 14, 10, 6, 6, 1 and 5
+REPORT_CALLS = {"fig8": 10, "elliptical-helix": 5, "torus-knot": 5,
+                "cusp-curve": 5, "helix": 1, "spherical": 5}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_report_makes_one_root_search(name, monkeypatch):
+    searches = _count_searches(monkeypatch)
+    curve_report(preset(name))
+    assert len(searches) == 1
+    assert len(searches[0]) <= REPORT_CALLS[name]
+
+
+def _fingerprint(verdict) -> tuple:
+    """What a verdict decides, as text that is equal only when the floats
+    are equal bit for bit: escapes, cusps, cuts, the flags and the error's
+    class, message and t."""
+    err = verdict.error
+    return (verdict.construction, repr(verdict.escapes), repr(verdict.cusps),
+            repr(verdict.cuts), verdict.spherical, verdict.cylindrical,
+            verdict.failed, type(err), str(err), repr(getattr(err, "t", None)))
+
+
+def _shape_curve(twin):
+    texts = [workloads._text(tree, "t") for tree in twin.trees]
+    if twin.kind == "expr":
+        return ExprCurve(", ".join(texts), twin.domain)
+    return FrenetODECurve(*texts, twin.domain)
+
+
+def check_joint_classify(shapes: int, samples: int = 1024) -> int:
+    """Classify every construction jointly and one at a time on the presets
+    and the first ``shapes`` draws; assert equal fingerprints, and return on
+    how many curves the joint pass itself raised (and each construction was
+    classified alone).  On every other curve the joint call is handed its
+    probe, as ``report`` hands its own."""
+    rng = random.Random(0)
+    curves = [preset(name) for name in preset_names()] + [
+        _shape_curve(workloads._draw(rng, i, degenerate=True))
+        for i in range(shapes)]
+    retried = 0
+    for index, curve in enumerate(curves):
+        alone = [_fingerprint(classify(curve, (c,), samples)[0])
+                 for c in CONSTRUCTIONS]
+        probe = None
+        if index % 2:
+            try:
+                probe = FrenetEval(curve, probe_grid(curve, PROBE_SAMPLES), 4)
+            except ValueError:
+                pass
+        try:
+            joint = _classify(curve, CONSTRUCTIONS, samples, 0.0, probe)
+        except (GeometryError, ValueError):
+            retried += 1
+            joint = classify(curve, CONSTRUCTIONS, samples)
+        assert [_fingerprint(v) for v in joint] == alone, index
+    return retried
+
+
+def test_joint_classification_equals_one_call_per_construction():
+    # the joint pass raises on 2 of the 46 curves, where the Monge
+    # evolute's torsion table fails; the other two verdicts are kept
+    assert check_joint_classify(40) == 2
+
+
+def test_report_hands_classify_its_probe(monkeypatch):
+    # at 256 samples the report's grid is the probe grid, so the first
+    # FrenetEval classify builds is the scan's
+    sizes = []
+
+    def counted(curve, t, order=4):
+        sizes.append(len(t))
+        return FrenetEval(curve, t, order)
+    # the package exports the function classify under the module's name
+    monkeypatch.setattr(sys.modules["evolutes.classify"], "FrenetEval",
+                        counted)
+    curve_report(preset("torus-knot"), samples=256)
+    assert sizes[0] == SCAN_SAMPLES + 1
+
+
+def test_a_failed_joint_pass_keeps_each_report_key(tmp_path, capsys):
+    # the pseudo-evolute's scan reads order 5, where t^4.5 has no derivative
+    # at 0; the evolute's reads order 4 and finds its escape there
+    out = tmp_path / "r.json"
+    assert entry(["report", "--expr", "t,t^2,t^4.5", "--range", "0:1",
+                  "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["evolute"] == {"defined": False, "escapes": [0.0],
+                                 "reason": "torsion vanishes at t≈0"}
+    assert report["pseudo_evolute"] == {"error": (
+        "non-integer power of zero has no derivative of order 5 at t=0")}

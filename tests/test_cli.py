@@ -321,19 +321,19 @@ def test_branches_share_one_point_pass(argv, tmp_path, monkeypatch):
     calls = []
 
     def counted(*args):
-        verdict = classify(*args)
+        verdict, = classify(*args)
 
         def point(ts):
             calls.append(len(ts))
             return verdict.point(ts)
-        return dataclasses.replace(verdict, point=point)
+        return (dataclasses.replace(verdict, point=point),)
 
     monkeypatch.setattr(cli, "classify", counted)
     out = tmp_path / "c.csv"
     assert entry([*argv, "--out", str(out)]) == 0
 
     curve = preset("torus-knot")
-    verdict = classify(curve, argv[0], 1024, 0.0)
+    verdict, = classify(curve, (argv[0],), 1024, 0.0)
     grids = branch_grids(curve.domain, verdict.cuts, 1024)
     assert len(grids) > 10
     assert calls == [sum(len(ts) for ts in grids)]
@@ -344,7 +344,7 @@ def test_branches_that_straddle_passes_keep_their_bytes(tmp_path):
     # 5 branches of 2068 to 4136 points: Curve.point cuts its passes at
     # multiples of _SLICE, inside branches
     curve = preset("elliptical-helix")
-    verdict = classify(curve, "evolute", 16384)
+    verdict, = classify(curve, ("evolute",), 16384)
     grids = branch_grids(curve.domain, verdict.cuts, 16384)
     sizes = [len(ts) for ts in grids]
     assert len(grids) == 5 and min(sizes) == 2068 and max(sizes) == 4136

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from evolutes.curves import FrenetODECurve
 from evolutes.errors import LineThroughEdge
 from evolutes.frenet import FrenetEval
 from evolutes.pseudo import (PseudoEvoluteCurve, PseudoInvoluteCurve,
@@ -47,6 +48,20 @@ def test_cusp_curve_limit_jets_agree_with_side_approach(cusp_curve):
                                    atol=10.0 * h)
 
 
+@pytest.mark.parametrize("h", [1e-3, pytest.param(1e-4, marks=pytest.mark.xfail(
+    reason=("the quotient's second derivative is rounding noise this close "
+            "to the cusp: 4.18 from the limit, while the points are within "
+            "2.3e-8 of it; the limit gate takes only rows where W and E are "
+            "0 to rounding")))])
+def test_cusp_curve_second_derivative_beside_the_cusp(cusp_curve, h):
+    pseudo = PseudoEvoluteCurve(cusp_curve)
+    limit = pseudo.derivatives(0.0, 3)[2, 0]
+    np.testing.assert_allclose(limit, [512.0 / 105.0, 0.0, 96.0 / 35.0],
+                               atol=1e-9)
+    sides = pseudo.derivatives(np.array([-h, h]), 3)[2]
+    assert np.abs(sides - limit).max() <= 1e-2
+
+
 def test_point_pass_takes_no_limit_at_the_seam(knot, monkeypatch):
     # the seam rows of the closed knot are escapes, not removable 0/0
     # points, so one order-4 pass of the base serves every row
@@ -85,6 +100,32 @@ def test_figure_eight_census(fig8):
     escapes, cusps = pseudo_singularities(fig8)
     assert len(escapes) == 4
     assert len(cusps) == 12
+
+
+def _rate_pair(gap):
+    # unit speed and k = 1, so (tau/k)' = (t - 0.7)^2 - gap and
+    # (tau/k)'' = 2 (t - 0.7)
+    return FrenetODECurve("1", f"(t-0.7)^3/3-{gap}*(t-0.7)+0.5", (0.0, 1.0))
+
+
+@pytest.mark.parametrize("gap", ["1e-8", "1e-6"])
+def test_close_rate_zeros_keep_the_cusp_between(gap):
+    _, cusps = pseudo_singularities(_rate_pair(gap))
+    np.testing.assert_allclose(cusps, [0.7], atol=1e-9)
+
+
+@pytest.mark.xfail(reason=(
+    "the (tau/k)' zeros 0.7 +- 1e-4 lie inside one interval of the scan "
+    "(width 4.9e-4), at whose ends (tau/k)' has one sign, so no escape is "
+    "found"))
+def test_close_rate_zeros_inside_one_scan_interval():
+    escapes, _ = pseudo_singularities(_rate_pair("1e-8"))
+    np.testing.assert_allclose(escapes, [0.7 - 1e-4, 0.7 + 1e-4], atol=1e-6)
+
+
+def test_rate_zeros_four_scan_intervals_apart_are_escapes():
+    escapes, _ = pseudo_singularities(_rate_pair("1e-6"))
+    np.testing.assert_allclose(escapes, [0.7 - 1e-3, 0.7 + 1e-3], atol=1e-6)
 
 
 def test_cylindrical_curves_have_no_pseudo_evolute(helix, knot):
