@@ -131,7 +131,11 @@ def _reorthonormalize(y):
     T = y[3:6] / np.linalg.norm(y[3:6])
     N = y[6:9] - (y[6:9] @ T) * T
     N /= np.linalg.norm(N)
-    y[3:6], y[6:9], y[9:12] = T, N, np.cross(T, N)
+    # B = T x N in floats: np.cross's products and differences, without its
+    # set-up cost
+    (t0, t1, t2), (n0, n1, n2) = T.tolist(), N.tolist()
+    y[3:6], y[6:9] = T, N
+    y[9:12] = t1 * n2 - t2 * n1, t2 * n0 - t0 * n2, t0 * n1 - t1 * n0
 
 
 def _frame_rhs(c, y):

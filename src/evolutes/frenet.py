@@ -15,7 +15,10 @@ supports, so derived curves in turn have exact derivatives.
 Frenet weight ds: arc length, the turning angle of the development and the
 torsion angle of the Monge evolutes are its tables, every total is the end
 of one, and the total absolute torsion is the variation of the torsion
-angle.
+angle.  Given several weights it is one table of them all, built from one
+FrenetEval per refinement round, whose parts keep the panels and the
+outcome of each weight's own table: ``curve_report`` reads every total of
+a curve from one such table.
 
 Conventions: curvature is nonnegative, torsion is signed by det(x', x'',
 x''') and d/ds denotes the arclength derivative.
@@ -173,19 +176,29 @@ class ArclengthMap(CumulativeIntegral):
     ``weight`` maps a FrenetEval to the jet of the weight: None is 1 (arc
     length), ``fe.k`` gives the turning angle and ``fe.tau`` the torsion
     angle.  ``inverse`` (say from arc length to parameter) assumes a
-    weight >= 0.
+    weight >= 0.  A tuple of weights makes one separate table of them all,
+    which evaluates the curve in one FrenetEval per refinement round:
+    ``part(j)`` is the map of weight j, on the panels and with the outcome
+    of its own map.
     """
 
     def __init__(self, curve: Curve, weight=None, c0: float = 0.0):
         self.weight = weight
-        order = 1 if weight is None else 3
+        separate = isinstance(weight, tuple)
+        weights = weight if separate else (weight,)
+        order = 1 if all(w is None for w in weights) else 3
 
         def rate(ts):
             fe = FrenetEval(curve, ts, order=order)
-            return fe.v[0] if weight is None else weight(fe)[0] * fe.v[0]
+            rates = [fe.v[0] if w is None else w(fe)[0] * fe.v[0]
+                     for w in weights]
+            return np.stack(rates, axis=-1) if separate else rates[0]
 
         a, b = curve.domain
-        super().__init__(rate, a, b, c0)
+        super().__init__(rate, a, b, c0, separate)
+        for part, w in zip(self.parts if separate else (), weights):
+            if isinstance(part, ArclengthMap):
+                part.weight = w
 
     def jets(self, fe: FrenetEval, ts, order: int):
         """Jet of the map at ts to the given order, from fe, the FrenetEval

@@ -19,7 +19,11 @@ while the table is built and never after.
 f may be a vector (an array of components per parameter), each component
 held to its own budget; ``rate`` then reads f itself from the panel
 polynomials, as the rolling involute reads its field.  The values, the
-inverse and the variation take a scalar or complex f.
+inverse and the variation take a scalar or complex f.  A separate table
+is the other way to hold a vector f: one scalar table per component, each
+on its own panels and with its own outcome, that share the calls of f, as
+arc length, turning angle and torsion angle share one Frenet evaluation
+per round.
 """
 
 from __future__ import annotations
@@ -123,45 +127,117 @@ def _falsi(coef, i, xl, xr, fl, fr):
 def _at_nodes(f, lo, hi):
     """f at the Kronrod nodes of the panels [lo_i, hi_i], in f's dtype, one
     row per panel; f's trailing axes, if any, go between the panel and the
-    node axis, so the nodes are always last."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _XK
-    y = np.asarray(f(x.ravel()))
-    return np.moveaxis(y.reshape(x.shape + y.shape[1:]), 1, -1)
+    node axis, so the nodes are always last.  f is called on at most
+    _MAX_LIVE_PANELS panels at a time, the most one table holds open."""
+    rows = []
+    for i in range(0, len(lo), _MAX_LIVE_PANELS):
+        cut = slice(i, i + _MAX_LIVE_PANELS)
+        mid = 0.5 * (lo[cut] + hi[cut])
+        half = 0.5 * (hi[cut] - lo[cut])
+        x = mid[:, None] + half[:, None] * _XK
+        y = np.asarray(f(x.ravel()))
+        rows.append(np.moveaxis(y.reshape(x.shape + y.shape[1:]), 1, -1))
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
-def _refine(f, edges, accept, what: str):
-    """Bisect the panels between edges until accept(lo, hi, nodes) holds
-    for each, nodes being f at their Kronrod nodes; the accepted left ends
-    and node values, round by round.  A round in which no value of f is
-    finite, or a refinement past the caps, fails with what names the job;
-    past the caps, the failure names the midpoint of the narrowest panel
-    still open."""
+class _Refinement:
+    """The refinement of one table: the panels it accepted, round by round,
+    those it still holds open, and how it failed, once it has.  Its node
+    values are f's at the index ``component``: () for all of them, (j,)
+    for component j."""
+
+    def __init__(self, edges, component):
+        self.component = component
+        self.where = f"quadrature failed on [{edges[0]:.6g}, {edges[-1]:.6g}]"
+        self.width = edges[-1] - edges[0]
+        self.lo, self.hi = edges[:-1], edges[1:]
+        self.kept_lo, self.kept_nodes, self.kept_val = [], [], []
+        self.failure = None
+
+    @property
+    def open(self) -> bool:
+        return self.failure is None and self.lo.size > 0
+
+    def step(self, nodes):
+        """One round on the node values of the open panels: keep those that
+        meet the budget and bisect the rest.  A round in which no value is
+        finite fails, and so does one that leaves more than half the cap on
+        open panels."""
+        if not np.isfinite(nodes).any():
+            self.failure = IntegrationFailure(f"{self.where}: no finite value")
+            return
+        ok = self._accept(nodes)
+        self.kept_lo.append(self.lo[ok])
+        self.kept_nodes.append(nodes[ok])
+        self.lo, self.hi = lo, hi = self.lo[~ok], self.hi[~ok]
+        if 2 * lo.size > _MAX_LIVE_PANELS:
+            self.give_up()
+            return
+        mid = 0.5 * (lo + hi)
+        self.lo, self.hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+    def give_up(self):
+        """Fail past the caps, naming the midpoint of the narrowest panel
+        still open: where refinement went deepest."""
+        narrowest = np.argmin(self.hi - self.lo)
+        self.failure = IntegrationFailure(self.where, t=float(
+            0.5 * (self.lo[narrowest] + self.hi[narrowest])))
+
+    def _accept(self, nodes):
+        """Which open panels meet the budget, nodes being f at their Kronrod
+        nodes: the Kronrod value against its embedded Gauss value, within
+        the panel's share of the budget of the running integral of |f|, per
+        component (a signed total that cancels would tighten it)."""
+        col = (-1,) + (1,) * (nodes.ndim - 2)
+        half = (0.5 * (self.hi - self.lo)).reshape(col)
+        vals = (nodes @ _WK) * half
+        errs = np.abs(vals - (nodes[..., 1::2] @ _WG) * half)
+        # fmax: a NaN in the running sum leaves the absolute budget
+        scale = np.fmax(sum(np.abs(v).sum(axis=0) for v in self.kept_val)
+                        + np.abs(vals).sum(axis=0), _ATOL)
+        ok = errs <= (((self.hi - self.lo) / self.width).reshape(col)
+                      * np.fmax(_ATOL, _RTOL * scale))
+        ok = ok.reshape(len(ok), -1).all(axis=1)
+        self.kept_val.append(vals[ok])
+        return ok
+
+
+def _refine(f, edges, separate: bool):
+    """Bisect the panels between edges until each is accepted; one
+    _Refinement per table.  f is one table, or with ``separate`` one per
+    component (f maps N parameters to shape (N, m)), each refined on its
+    own panels as its own table would be: f is called once per round, at
+    the panels any table holds open.  A table fails in a round in which
+    none of its values is finite, or past the caps."""
     lo, hi = edges[:-1], edges[1:]
-    keep_lo, keep_nodes = [], []
+    tables = None
     for _ in range(_MAX_ROUNDS):
         nodes = _at_nodes(f, lo, hi)
-        if not np.isfinite(nodes).any():
-            raise IntegrationFailure(
-                f"{what} failed on [{edges[0]:.6g}, {edges[-1]:.6g}]:"
-                " no finite value")
-        ok = accept(lo, hi, nodes)
-        keep_lo.append(lo[ok])
-        keep_nodes.append(nodes[ok])
-        lo, hi = lo[~ok], hi[~ok]
-        if lo.size == 0:
-            return np.concatenate(keep_lo), np.concatenate(keep_nodes)
-        if 2 * lo.size > _MAX_LIVE_PANELS:
-            break
-        mid = 0.5 * (lo + hi)
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-    # the narrowest open panel is where refinement went deepest
-    narrowest = np.argmin(hi - lo)
-    raise IntegrationFailure(
-        f"{what} failed on [{edges[0]:.6g}, {edges[-1]:.6g}]",
-        t=float(0.5 * (lo[narrowest] + hi[narrowest])))
+        if tables is None:
+            components = ([(j,) for j in range(nodes.shape[1])] if separate
+                          else [()])
+            tables = live = [_Refinement(edges, c) for c in components]
+            picks = [slice(None)] * len(live)
+        for table, pick in zip(live, picks):
+            # contiguous, so its sums round as one table's own would
+            table.step(np.ascontiguousarray(nodes[(pick,) + table.component]))
+        live = [t for t in tables if t.open]
+        if not live:
+            return tables
+        if len(live) == 1:
+            lo, hi = live[0].lo, live[0].hi
+            picks = [slice(None)]
+        else:
+            # every open panel was bisected as often, so its left end tells
+            # it apart
+            lo, first = np.unique(np.concatenate([t.lo for t in live]),
+                                  return_index=True)
+            hi = np.concatenate([t.hi for t in live])[first]
+            picks = [np.searchsorted(lo, t.lo) for t in live]
+    for table in tables:
+        if table.open:
+            table.give_up()
+    return tables
 
 
 class CumulativeIntegral:
@@ -182,44 +258,54 @@ class CumulativeIntegral:
     then meets its own budget, and ``rate`` reads f itself from the panel
     polynomials.  ``__call__``, ``inverse`` and ``variation`` take a scalar
     or complex f.  None of them calls f.
+
+    With ``separate``, the components of f (f maps N parameters to shape
+    (N, m)) are m tables that share only the calls of f: each is refined on
+    its own panels and fails on its own, as its own table would, and f is
+    called once per round, at the panels any of them holds open.  Such a
+    table is read through ``part(j)`` alone.
     """
 
-    def __init__(self, f, a: float, b: float, c0: float = 0.0):
+    def __init__(self, f, a: float, b: float, c0: float = 0.0,
+                 separate: bool = False):
         if not b > a:
             raise ValueError("need b > a")
-        edges = np.linspace(a, b, _PANELS + 1)
-        width = edges[-1] - edges[0]
-        keep_val = []
+        tables = _refine(f, np.linspace(a, b, _PANELS + 1), separate)
+        if separate:
+            self.parts = [t.failure or self._part(t, b, c0) for t in tables]
+            return
+        (table,) = tables
+        if table.failure:
+            raise table.failure
+        self._assemble(table, b, c0)
 
-        def accept(lo, hi, nodes):
-            # the Kronrod value against its embedded Gauss value, within
-            # the panel's share of the budget of the running integral of
-            # |f|, per component: a signed total that cancels would tighten
-            # it
-            col = (-1,) + (1,) * (nodes.ndim - 2)
-            half = (0.5 * (hi - lo)).reshape(col)
-            vals = (nodes @ _WK) * half
-            errs = np.abs(vals - (nodes[..., 1::2] @ _WG) * half)
-            # fmax: a NaN in the running sum leaves the absolute budget
-            scale = np.fmax(sum(np.abs(v).sum(axis=0) for v in keep_val)
-                            + np.abs(vals).sum(axis=0), _ATOL)
-            ok = errs <= (((hi - lo) / width).reshape(col)
-                          * np.fmax(_ATOL, _RTOL * scale))
-            ok = ok.reshape(len(ok), -1).all(axis=1)
-            keep_val.append(vals[ok])
-            return ok
+    def _part(self, refinement, b, c0):
+        """A table of this class from the refinement of one component."""
+        part = object.__new__(type(self))
+        part._assemble(refinement, b, c0)
+        return part
 
-        lo, nodes = _refine(f, edges, accept, "quadrature")
+    def _assemble(self, refinement, b, c0):
+        lo = np.concatenate(refinement.kept_lo)
         order = np.argsort(lo)
         self.edges = np.append(lo[order], float(b))
-        vals = np.concatenate(keep_val)[order]
+        vals = np.concatenate(refinement.kept_val)[order]
         self.table = np.concatenate([np.zeros((1,) + vals.shape[1:]),
                                      np.cumsum(vals, axis=0)]) + float(c0)
         self._half = 0.5 * np.diff(self.edges)
-        self._interpolant = nodes[order] @ _TO_SERIES
+        self._interpolant = (np.concatenate(refinement.kept_nodes)[order]
+                             @ _TO_SERIES)
         self._antiderivative = self._interpolant @ _INTEGRATE
         self._start = _series(self._antiderivative, np.arange(len(vals)),
                               -1.0)
+
+    def part(self, j: int) -> CumulativeIntegral:
+        """The table of component j of a separate table; it raises the
+        IntegrationFailure that component's own table raises."""
+        part = self.parts[j]
+        if isinstance(part, IntegrationFailure):
+            raise part
+        return part
 
     @property
     def total(self) -> float:

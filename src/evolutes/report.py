@@ -15,7 +15,7 @@ from .classify import Verdict, classify, probe_grid
 from .curves import SIGMA_CLEARANCE, Curve
 from .errors import GeometryError
 from .evolute import _evolute_jets, osculating_circles_disjoint
-from .frenet import ArclengthMap, FrenetEval, arclength
+from .frenet import ArclengthMap, FrenetEval
 from .monge import monge_evolutes_closed
 from .rolling import Development, monodromy
 from .taylor import arclength_derivative, jet_mul
@@ -149,31 +149,27 @@ def curve_report(curve: Curve, samples: int = 1024,
         report[key] = value if value is None or not isinstance(value, float) \
             or math.isfinite(value) else None
 
-    # the tau table serves two keys (three on a closed curve) and the k
-    # table two on a closed curve; a table that fails to build is tried
-    # again by the next key, and fails alike
+    # one table of arc length, turning angle and torsion angle: its tau part
+    # serves two keys (three on a closed curve) and its k part two on a
+    # closed curve, and a part that fails fails only its own keys.  A build
+    # that raises is tried again by the next key, and raises alike
     @cache
-    def turning():
-        return ArclengthMap(curve, lambda fe: fe.k)
+    def frenet():
+        return ArclengthMap(curve, (None, lambda fe: fe.k, lambda fe: fe.tau))
 
-    @cache
-    def torsion_angle():
-        return ArclengthMap(curve, lambda fe: fe.tau)
-
-    attempt("arclength", lambda: float(arclength(curve)))
-    attempt("total_curvature", lambda: float(turning().total))
-    attempt("total_torsion", lambda: float(torsion_angle().total))
-    attempt("total_absolute_torsion",
-            lambda: float(torsion_angle().variation))
+    attempt("arclength", lambda: frenet().part(0).total)
+    attempt("total_curvature", lambda: frenet().part(1).total)
+    attempt("total_torsion", lambda: frenet().part(2).total)
+    attempt("total_absolute_torsion", lambda: frenet().part(2).variation)
     verdicts = classify(curve, ("evolute", "pseudo-evolute"), samples,
                         probe=fe)
     for key, verdict in zip(("evolute", "pseudo_evolute"), verdicts):
         attempt(key, lambda: _verdict_block(verdict))
     if curve.closed:
         attempt("monge_evolutes_closed", lambda: bool(
-            monge_evolutes_closed(curve, torsion_angle().total)))
+            monge_evolutes_closed(curve, frenet().part(2).total)))
         attempt("monodromy", lambda: monodromy_block(
-            curve, Development(curve, turning())))
+            curve, Development(curve, frenet().part(1))))
     if circle_delta is not None:
         attempt("osculating_circles",
                 lambda: _circles_block(curve, circle_delta))

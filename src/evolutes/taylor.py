@@ -15,6 +15,8 @@ The kernels accumulate each output row in place, from one scratch row per
 call, but their arithmetic is fixed: the terms of a Leibniz sum are added
 in ascending j, each product grouped (C * a) * b, and the components of a
 dot product summed (x + y) + z starting from +0.0, as np.sum sums three.
+A binomial that is 1, C(m, 0) or C(m, m), is not multiplied at all: that
+is exact, since (1 * a) * b is a * b bit for bit.
 So every output, a row kernel's included, is bit-identical to the
 written-out loop forms (tests/test_taylor.py keeps them as an oracle).
 That is a contract, not a nicety: the figures check compares artifacts
@@ -79,16 +81,25 @@ def _degree(f) -> int:
     return 0
 
 
+def _term(out, m, j, a, b):
+    """out = (_C[m, j] * a) * b, grouped as in the written-out sums; a
+    binomial of 1 (j = 0 or m) skips its multiply."""
+    if 0 < j < m:
+        np.multiply(_C[m, j], a, out=out)
+        out *= b
+    else:
+        np.multiply(a, b, out=out)
+    return out
+
+
 def _fold(row, term, op, m, js, a, b, k):
     """row = op(row, _C[m, j] * a[j] * b[k - j]) for j in js, in that order.
 
-    Each product is grouped (C * a) * b, as in the written-out sums, and
-    formed in the scratch row term, so a term costs no temporaries.
+    Each product is formed by _term in the scratch row term, so a term
+    costs no temporaries.
     """
     for j in js:
-        np.multiply(_C[m, j], a[j], out=term)
-        term *= b[k - j]
-        op(row, term, out=row)
+        op(row, _term(term, m, j, a[j], b[k - j]), out=row)
 
 
 def jet_mul(f, g):
@@ -110,8 +121,7 @@ def _mul_row(f, g, m, df, dg, row, term):
     if lo > hi:                                 # past df + dg
         row[...] = 0.0
     else:
-        np.multiply(_C[m, lo], f[lo], out=row)
-        row *= g[m - lo]
+        _term(row, m, lo, f[lo], g[m - lo])
         _fold(row, term, np.add, m, range(lo + 1, hi + 1), f, g, m)
     return row
 
@@ -186,9 +196,7 @@ def jet_exp(f):
     df = _degree(f)
     term = np.empty_like(out[0, ...])
     for m in range(_orders(len(f)) - 1):
-        row = out[m + 1, ...]
-        np.multiply(_C[m, 0], f[1], out=row)
-        row *= out[m]
+        row = _term(out[m + 1, ...], m, 0, f[1], out[m])
         js = range(1, min(m, df - 1) + 1)
         _fold(row, term, np.add, m, js, f[1:], out, m)
     return out
@@ -249,7 +257,8 @@ def jet_pow(f, p: float):
             term *= out[m - j]
             np.multiply(f[j], out[m + 1 - j], out=other)
             term -= other
-            term *= _C[m, j]
+            if j < m:
+                term *= _C[m, j]
             row += term
         row /= base
         np.copyto(row, 0.0 if m + 1 < p else np.nan, where=zero)
@@ -268,8 +277,7 @@ def jet_dot(f, g):
     for k in range(m):
         row = out[k, ...]
         for j in range(k + 1):
-            np.multiply(_C[k, j], f[j], out=prod)
-            prod *= g[k - j]
+            _term(prod, k, j, f[j], g[k - j])
             acc = term if j else row            # term 0 lands in the row
             np.add(x, y, out=acc)
             acc += z
@@ -305,13 +313,14 @@ def jet_cross(f, g):
 
 
 def jet_cross_row(f, g, m, out=None):
-    """Row m of jet_cross(f, g) from rows 0..m of f and g, into out if given."""
+    """Row m of jet_cross(f, g) from rows 0..m of f and g, into out if given;
+    the binomials C(m, 0) and C(m, m) are 1 and multiply nothing."""
     row = _cross(f[0], g[m], out=out)
-    row *= _C[m, 0]
     term = np.empty_like(row)
     for j in range(1, m + 1):
         _cross(f[j], g[m - j], out=term)
-        term *= _C[m, j]
+        if j < m:
+            term *= _C[m, j]
         row += term
     return row
 

@@ -150,3 +150,34 @@ def test_rate_of_a_pole_fails_naming_the_interval():
                        match=r"quadrature failed on \[0, 1\] at t≈0\.33"):
         CumulativeIntegral(pole, 0.0, 1.0).rate
     assert max(calls) <= 15 * 4096
+
+
+def test_each_part_of_a_separate_table_is_its_own_table():
+    # a smooth component, a peaked one and a pole, from one call of f per
+    # round: each part has the panels and the outcome of its own table
+    fs = (np.cos, lambda t: 1.0 / (0.01 + (t - 2.9) ** 2),
+          lambda t: 1.0 / (t - 1.0 / 3.0))
+    calls = []
+
+    def f(t):
+        calls.append(np.size(t))
+        return np.stack([g(t) for g in fs], axis=-1)
+
+    table = CumulativeIntegral(f, 0.0, 6.0, separate=True)
+    rounds = []
+    for j, g in enumerate(fs):
+        counted = []
+        try:
+            alone = CumulativeIntegral(
+                lambda t, g=g: counted.append(t) or g(t), 0.0, 6.0)
+        except IntegrationFailure as exc:
+            with pytest.raises(IntegrationFailure) as got:
+                table.part(j)
+            assert str(got.value) == str(exc) and got.value.t == exc.t
+        else:
+            part = table.part(j)
+            assert np.array_equal(part.edges, alone.edges)
+            assert np.array_equal(part.table, alone.table)
+            assert part(2.5) == alone(2.5)
+        rounds.append(len(counted))
+    assert len(calls) == max(rounds) < sum(rounds)

@@ -1,5 +1,16 @@
-"""Structured curve reports."""
+"""Structured curve reports.
+
+The report's totals are checked against one table per key on the presets
+and on the first shapes of the benchmark's unfiltered draw
+(``perfbench/workloads.py``, ``_draw`` with degenerate shapes kept).
+``check_report_totals`` runs that check on any number of shapes:
+
+    PYTHONPATH=src:tests python -c 'import test_report as t; t.check_report_totals(120)'
+"""
 import json
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +19,19 @@ from evolutes import preset
 from evolutes.catalog import preset_names
 from evolutes.classify import probe_grid
 from evolutes.cli import entry
+from evolutes.errors import GeometryError
 from evolutes.exporters import render_json
+from evolutes.frenet import ArclengthMap, FrenetEval
 from evolutes.quadrature import CumulativeIntegral
 from evolutes.report import (_circles_block, curve_report,
                              identity_residuals)
+from test_classify import _shape_curve
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+TOTALS = ("arclength", "total_curvature", "total_torsion")
+WEIGHTS = (None, lambda fe: fe.k, lambda fe: fe.tau)
 
 
 def test_identity_residuals_small_on_generic_curve(knot):
@@ -56,10 +76,10 @@ def test_report_marks_cylindrical_pseudo_evolute(helix):
     assert rep["evolute"]["defined"] is True
 
 
-def test_closed_curve_report_builds_four_tables(knot, monkeypatch):
-    # arclength, k (total curvature and the monodromy angle), tau (total
-    # torsion, its variation the total absolute torsion, and the Monge
-    # closing test) and the developed position
+def test_closed_curve_report_builds_two_tables(knot, monkeypatch):
+    # one table of arclength, k (total curvature and the monodromy angle)
+    # and tau (total torsion, its variation the total absolute torsion, and
+    # the Monge closing test), and the developed position
     built = []
     init = CumulativeIntegral.__init__
 
@@ -69,7 +89,81 @@ def test_closed_curve_report_builds_four_tables(knot, monkeypatch):
 
     monkeypatch.setattr(CumulativeIntegral, "__init__", counting)
     curve_report(knot)
-    assert len(built) == 4
+    assert built == ["ArclengthMap", "CumulativeIntegral"]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_report_makes_one_frenet_eval_per_round_for_its_totals(
+        name, monkeypatch):
+    # a table of one weight makes one FrenetEval per refinement round; the
+    # report's one table makes as many as the deepest of the three, where
+    # the three tables made their sum
+    curve = preset(name)
+    orders = []
+
+    def counted(curve, t, order=4):
+        orders.append(order)
+        return FrenetEval(curve, t, order)
+
+    monkeypatch.setattr("evolutes.frenet.FrenetEval", counted)
+    rounds = []
+    for weight in WEIGHTS:
+        orders.clear()
+        ArclengthMap(curve, weight)
+        rounds.append(len(orders))
+    orders.clear()
+    curve_report(curve)
+    assert orders == [3] * max(rounds)
+    assert max(rounds) < sum(rounds)
+
+
+def _outcome(fn):
+    """fn's value, or the exception it raises."""
+    try:
+        return fn()
+    except (GeometryError, ValueError) as exc:
+        return exc
+
+
+def check_report_totals(shapes: int) -> int:
+    """Compare the totals of a report with those of one table per key on
+    the presets and the first ``shapes`` draws: each key has the outcome of
+    its own table, the same error or a value within 1e-14 relative (within
+    1e-12 of the arc length where it is 0 in exact arithmetic).  Return how
+    many keys failed."""
+    rng = random.Random(0)
+    curves = [preset(name) for name in preset_names()] + [
+        _shape_curve(workloads._draw(rng, i, degenerate=True))
+        for i in range(shapes)]
+    failed = 0
+    for index, curve in enumerate(curves):
+        want = {}
+        for key, weight in zip(TOTALS, WEIGHTS):
+            table = _outcome(lambda: ArclengthMap(curve, weight))
+            want[key] = table if isinstance(table, Exception) else _outcome(
+                lambda: table.total)
+            if weight is WEIGHTS[2]:
+                want["total_absolute_torsion"] = (
+                    table if isinstance(table, Exception)
+                    else _outcome(lambda: table.variation))
+        scale = want["arclength"]
+        scale = 1.0 if isinstance(scale, Exception) else max(scale, 1.0)
+        report = curve_report(curve, samples=64)
+        for key, value in want.items():
+            got = report[key]
+            if isinstance(value, Exception):
+                failed += 1
+                assert got == {"error": str(value)}, (index, key)
+            else:
+                assert abs(got - value) <= max(1e-14 * abs(value),
+                                               1e-12 * scale), (index, key)
+    return failed
+
+
+def test_report_totals_keep_each_key_s_outcome():
+    # 11 keys of 5 curves fail, among them the k and tau keys of a curve
+    # whose arc length is found: each keeps its own table's error
+    assert check_report_totals(40) == 11
 
 
 def test_circle_block_evaluates_the_curve_twice(monkeypatch):
