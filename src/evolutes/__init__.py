@@ -16,19 +16,18 @@ from .errors import (CuspPoint, DegenerateCurvature, DomainError,
                      IntegrationFailure, LengthMismatch, LineThroughEdge,
                      NotClosed, ParseError, PureTranslation, TorsionVanishes)
 from .evolute import (EvoluteCurve, conformal_torsion, evolute_curvature_torsion,
-                      evolute_singularities, interior_sign,
-                      osculating_circle, osculating_circles_disjoint,
-                      osculating_sphere, second_evolute_residual)
+                      interior_sign, osculating_circle,
+                      osculating_circles_disjoint, osculating_sphere,
+                      second_evolute_residual)
 from .expr import Expr, evaluate, parse, parse_curve, to_source
 from .frenet import (ArclengthMap, CongruenceReport, FrenetEval, arclength,
                      indicatrix_geodesic_curvature, is_congruent, sigma_values,
                      total_absolute_torsion, total_curvature, total_torsion)
 from .monge import (MongeEvoluteCurve, MongeInvoluteCurve, envelope_meetings,
-                    monge_evolutes_closed, monge_singularities, offset_angles,
-                    signed_length, string_residual)
+                    monge_evolutes_closed, offset_angles, signed_length,
+                    string_residual)
 from .pseudo import (PseudoEvoluteCurve, PseudoInvoluteCurve, geodesic_residual,
-                     is_cylindrical, pseudo_evolute_points,
-                     pseudo_singularities)
+                     pseudo_evolute_points)
 from .report import curve_report, identity_residuals
 from .rolling import (Development, PlanarIsometry, TracedInvoluteCurve,
                       closed_involute, monodromy)

@@ -1,5 +1,6 @@
 """One singularity classifier for the evolute, pseudo-evolute and Monge
-evolute, read by both the CLI and ``report``.
+evolute, read by both the CLI and ``report``: the only code that probes a
+construction and searches its scan rows.
 
 The checks, in order, on a probe grid that skips the declared cusps: k <=
 EPS_K everywhere leaves no construction defined; for the evolute, |tau| <=
@@ -11,8 +12,8 @@ point.  Constant means a relative spread of at most CONSTANT_SPREAD.
 Escapes and cusps are the roots of one shared search per call: the scan
 rows of every construction the checks leave pending, each module's
 ``*_scan_rows``, from one FrenetEval per call of f.  The rows keep their
-own brackets, so each construction's roots are those of its module's
-``*_singularities``.
+own brackets, so each construction's roots are those a search of its rows
+alone finds.
 """
 from __future__ import annotations
 
@@ -29,8 +30,7 @@ from .errors import (DegenerateCurvature, GeometryError, InfinityEscape,
 from .evolute import EvoluteCurve, evolute_scan_rows
 from .frenet import FrenetEval
 from .monge import MongeEvoluteCurve, monge_scan_rows
-from .pseudo import (PseudoEvoluteCurve, is_constant, is_cylindrical,
-                     pseudo_scan_rows)
+from .pseudo import PseudoEvoluteCurve, pseudo_scan_rows
 from .roots import find_roots
 
 __all__ = ["Verdict", "classify", "probe_grid"]
@@ -38,7 +38,7 @@ __all__ = ["Verdict", "classify", "probe_grid"]
 PROBE_SAMPLES = 512
 PROBE_MARGIN = 1e-6     # probe points this close to a declared cusp are dropped
 # the FrenetEval order each construction's probe checks read
-_PROBE_ORDER = {"evolute": 4, "pseudo-evolute": 2, "monge-evolute": 2}
+_PROBE_ORDER = {"evolute": 4, "pseudo-evolute": 3, "monge-evolute": 2}
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,16 @@ def probe_grid(curve: Curve, samples: int) -> np.ndarray:
 
 def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
+
+
+def is_constant(values) -> bool:
+    """True when the finite values exist and spread by at most
+    CONSTANT_SPREAD times the largest of them in size."""
+    values = values[np.isfinite(values)]
+    if values.size == 0:
+        return False
+    scale = max(float(np.max(np.abs(values))), 1e-30)
+    return float(np.max(values) - np.min(values)) <= CONSTANT_SPREAD * scale
 
 
 def classify(curve: Curve, constructions: tuple, samples: int,
@@ -114,7 +124,9 @@ def _probe_checks(curve: Curve, construction: str, fe: FrenetEval,
         return point, evolute.SCAN_ORDER, evolute_scan_rows
     if construction == "pseudo-evolute":
         point = PseudoEvoluteCurve(curve).point
-        if is_cylindrical(curve):
+        with np.errstate(all="ignore"):
+            cylindrical = is_constant(fe.tau[0] / fe.k[0])
+        if cylindrical:
             return verdict(InfinityEscape(
                 "tau/k is constant (cylindrical curve): the pseudo-evolute"
                 " escapes to infinity everywhere"), point, cylindrical=True)
@@ -152,7 +164,7 @@ def _classify(curve, constructions, samples, alpha0, probe=None) -> tuple:
                           escapes=escapes)
         if constructions[i] == "evolute" and escapes:
             verdicts[i] = verdict(TorsionVanishes("torsion vanishes",
-                                                  t=escapes[0]))
+                                                  t=escapes[0]), cusps=cusps)
         else:
             verdicts[i] = verdict(None, cusps=cusps,
                                   cuts=escapes + cusps + curve.cusps)

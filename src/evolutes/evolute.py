@@ -19,11 +19,10 @@ import numpy as np
 from .curves import EPS_K, EPS_TAU, Curve
 from .errors import TorsionVanishes
 from .frenet import FrenetEval, jet_sum, regular_eval
-from .roots import find_roots
 from .taylor import (arclength_derivative, jet_div, jet_mul, jet_recip)
 
 __all__ = [
-    "EvoluteCurve", "evolute_scan_rows", "evolute_singularities",
+    "EvoluteCurve", "evolute_scan_rows",
     "osculating_sphere", "osculating_circle",
     "evolute_curvature_torsion", "interior_sign", "conformal_torsion",
     "second_evolute_residual", "osculating_circles_disjoint",
@@ -68,14 +67,6 @@ def evolute_scan_rows(fe: FrenetEval) -> tuple:
     """Row 0 of the torsion, zero where the evolute diverges, and of sigma,
     zero at its cusps."""
     return fe.tau[0], fe.sigma[0]
-
-
-def evolute_singularities(curve: Curve) -> tuple:
-    """(escapes, cusps) of the evolute from one search of its scan rows."""
-    a, b = curve.domain
-    return find_roots(
-        lambda ts: evolute_scan_rows(FrenetEval(curve, ts, order=SCAN_ORDER)),
-        a, b, closed=curve.closed)
 
 
 def osculating_sphere(curve: Curve, t: float):

@@ -32,7 +32,7 @@ from .taylor import (antiderivative_jet, arclength_derivative, jet_div,
                      jet_dot, jet_mul, jet_sin_cos, jet_sqrt)
 
 __all__ = [
-    "EPS_COS", "MongeEvoluteCurve", "monge_scan_rows", "monge_singularities",
+    "EPS_COS", "MongeEvoluteCurve", "monge_scan_rows",
     "monge_evolutes_closed", "MongeInvoluteCurve",
     "string_residual", "distance_identity_residual", "polar_line_residual",
     "offset_angles", "envelope_meetings", "signed_length",
@@ -84,17 +84,6 @@ def monge_scan_rows(evolute: MongeEvoluteCurve, fe: FrenetEval) -> tuple:
     with np.errstate(all="ignore"):
         rate = arclength_derivative(jet_mul(fe.k, cos_j), fe.v)
     return cos_j[0], rate[0]
-
-
-def monge_singularities(evolute: MongeEvoluteCurve) -> tuple:
-    """(escapes, cusps) of the Monge evolute from one search of its scan
-    rows."""
-    base = evolute.base
-    a, b = base.domain
-    return find_roots(
-        lambda ts: monge_scan_rows(evolute,
-                                   FrenetEval(base, ts, order=SCAN_ORDER)),
-        a, b, closed=base.closed)
 
 
 def monge_evolutes_closed(curve: Curve, torsion: float | None = None) -> bool:

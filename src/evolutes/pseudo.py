@@ -32,16 +32,15 @@ import warnings
 
 import numpy as np
 
-from .curves import CONSTANT_SPREAD, Curve
+from .curves import Curve
 from .errors import LineThroughEdge
 from .frenet import FrenetEval, jet_sum
-from .roots import find_roots
 from .taylor import (arclength_derivative, jet_deflate, jet_div, jet_mul,
                      jet_sin_cos)
 
 __all__ = [
     "pseudo_evolute_points", "PseudoEvoluteCurve",
-    "pseudo_scan_rows", "pseudo_singularities", "is_cylindrical", "is_constant",
+    "pseudo_scan_rows",
     "geodesic_residual", "PseudoInvoluteCurve",
 ]
 
@@ -138,35 +137,6 @@ def pseudo_scan_rows(fe: FrenetEval) -> tuple:
     with np.errstate(all="ignore"):
         rate = arclength_derivative(jet_div(fe.tau, fe.k), fe.v)
         return rate[0], arclength_derivative(rate, fe.v)[0]
-
-
-def pseudo_singularities(curve: Curve) -> tuple:
-    """(escapes, cusps) of the pseudo-evolute from one search of its scan
-    rows."""
-    a, b = curve.domain
-    return find_roots(
-        lambda ts: pseudo_scan_rows(FrenetEval(curve, ts, order=SCAN_ORDER)),
-        a, b, closed=curve.closed)
-
-
-def is_cylindrical(curve: Curve) -> bool:
-    """True when tau/k is constant on 512 samples, so the rectifying
-    developable is a cylinder and the pseudo-evolute is everywhere at
-    infinity."""
-    ts = curve.grid(513)[:-1] if curve.closed else curve.grid(512)
-    fe = FrenetEval(curve, ts, order=3)
-    with np.errstate(all="ignore"):
-        return is_constant(fe.tau[0] / fe.k[0])
-
-
-def is_constant(values) -> bool:
-    """True when the finite values exist and spread by at most
-    CONSTANT_SPREAD times the largest of them in size."""
-    values = values[np.isfinite(values)]
-    if values.size == 0:
-        return False
-    scale = max(float(np.max(np.abs(values))), 1e-30)
-    return float(np.max(values) - np.min(values)) <= CONSTANT_SPREAD * scale
 
 
 def geodesic_residual(curve: Curve, ts) -> np.ndarray:

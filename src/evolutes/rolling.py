@@ -119,11 +119,13 @@ class PlanarIsometry:
 def monodromy(curve: Curve, development: Development | None = None) -> PlanarIsometry:
     """Isometry taking the initial contact element (point and heading angle)
     of the development to the terminal one; defined for closed curves."""
+    if not curve.closed:
+        raise NotClosed("curve is not declared closed")
     a, b = curve.domain
     start, end = curve.point(np.array([a, b]))
     gap = np.linalg.norm(start - end)
     scale = max(1.0, float(np.linalg.norm(start)))
-    if not curve.closed or gap > 1e-8 * scale:
+    if gap > 1e-8 * scale:
         raise NotClosed(f"curve endpoints differ by {gap:.3g}")
     dev = development if development is not None else Development(curve)
     return PlanarIsometry(angle=float(dev.angle(b)), shift=dev.point(b))

@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 from evolutes import preset, preset_names
+from evolutes.classify import classify
 from evolutes.curves import ExprCurve, FrenetODECurve
-from evolutes.evolute import (EvoluteCurve, evolute_singularities,
-                              osculating_circles_disjoint,
+from evolutes.evolute import (EvoluteCurve, osculating_circles_disjoint,
                               second_evolute_residual)
 from evolutes.frenet import (FrenetEval, is_congruent, sigma_values,
                              total_absolute_torsion, total_curvature)
@@ -20,8 +20,7 @@ from evolutes.monge import (MongeEvoluteCurve, MongeInvoluteCurve,
                             distance_identity_residual, envelope_meetings,
                             offset_angles, polar_line_residual,
                             string_residual)
-from evolutes.pseudo import (PseudoEvoluteCurve, is_cylindrical,
-                             pseudo_singularities)
+from evolutes.pseudo import PseudoEvoluteCurve
 from evolutes.rolling import closed_involute, monodromy
 from evolutes.taylor import arclength_derivative
 
@@ -140,7 +139,7 @@ def test_criterion_06_evolute_total_curvature_is_total_torsion(knot):
 
 
 def test_criterion_07_cusp_censuses(ell_helix, knot):
-    _, cusps = evolute_singularities(ell_helix)
+    cusps = classify(ell_helix, ("evolute",), 512)[0].cusps
     assert len(cusps) == 4
     ev = EvoluteCurve(ell_helix)
 
@@ -206,7 +205,7 @@ def test_criterion_11_involute_evolute_equals_pseudo_evolute(knot, helix):
     # helix leg: both sides escape together.  tau/k is constant, so the
     # pseudo-evolute is at infinity; the string involute is planar, so its
     # sphere evolute is at infinity too.
-    assert is_cylindrical(helix)
+    assert classify(helix, ("pseudo-evolute",), 512)[0].cylindrical
     inv = MongeInvoluteCurve(helix, 10.0)
     tau_inv = float(np.max(np.abs(
         FrenetEval(inv, np.linspace(0.3, 5.9, 33), order=3).tau[0])))
@@ -216,8 +215,8 @@ def test_criterion_11_involute_evolute_equals_pseudo_evolute(knot, helix):
 
 
 def test_criterion_12_figure_eight_census(fig8):
-    escapes, cusps = pseudo_singularities(fig8)
-    assert len(cusps) == 12 and len(escapes) == 4
+    verdict, = classify(fig8, ("pseudo-evolute",), 512)
+    assert len(verdict.cusps) == 12 and len(verdict.escapes) == 4
     _pass(12, "figure-eight pseudo-evolute: 12 cusps, 4 infinity escapes")
 
 

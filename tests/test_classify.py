@@ -12,13 +12,15 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evolutes import preset, preset_names
-from evolutes.classify import PROBE_SAMPLES, _classify, classify, probe_grid
+from evolutes.classify import (PROBE_SAMPLES, _classify, classify, is_constant,
+                               probe_grid)
 from evolutes.cli import entry
 from evolutes.curves import ExprCurve, FrenetODECurve
-from evolutes.errors import GeometryError
+from evolutes.errors import DegenerateCurvature, GeometryError
 from evolutes.frenet import FrenetEval
 from evolutes.report import curve_report
 from evolutes.roots import SCAN_SAMPLES
@@ -100,6 +102,30 @@ def test_one_root_search_per_construction(name, construction, monkeypatch):
     assert len(searches[0]) <= ROOT_CALLS[name, construction]
 
 
+@pytest.mark.parametrize("name", ["torus-knot", "cusp-curve", "fig8"])
+def test_pseudo_evolute_probe_is_the_only_frenet_eval_before_the_search(
+        name, monkeypatch):
+    # a work-count gate: the cylindrical check reads tau/k from the probe,
+    # so the probe is the only evaluation of the curve before the search
+    built, at_search = [], []
+    init = FrenetEval.__init__
+
+    def counted_init(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+    monkeypatch.setattr(FrenetEval, "__init__", counted_init)
+    find = sys.modules["evolutes.classify"].find_roots
+
+    def counted_find(*args, **kw):
+        at_search.append(len(built))
+        return find(*args, **kw)
+    monkeypatch.setattr(sys.modules["evolutes.classify"], "find_roots",
+                        counted_find)
+    verdict, = classify(preset(name), ("pseudo-evolute",), 512)
+    assert verdict.error is None
+    assert at_search == [1]
+
+
 # calls of f one report makes, at most: one search for the evolute and the
 # pseudo-evolute together, where two searches took 14, 10, 6, 6, 1 and 5
 REPORT_CALLS = {"fig8": 10, "elliptical-helix": 5, "torus-knot": 5,
@@ -131,12 +157,24 @@ def _shape_curve(twin):
     return FrenetODECurve(*texts, twin.domain)
 
 
+def _cylindrical(curve) -> bool:
+    """The reference for the probe's cylindrical check: tau/k constant on
+    512 samples of the whole domain, declared cusps kept, from an
+    evaluation of its own."""
+    ts = curve.grid(513)[:-1] if curve.closed else curve.grid(512)
+    fe = FrenetEval(curve, ts, order=3)
+    with np.errstate(all="ignore"):
+        return is_constant(fe.tau[0] / fe.k[0])
+
+
 def check_joint_classify(shapes: int, samples: int = 1024) -> int:
     """Classify every construction jointly and one at a time on the presets
     and the first ``shapes`` draws; assert equal fingerprints, and return on
     how many curves the joint pass itself raised (and each construction was
     classified alone).  On every other curve the joint call is handed its
-    probe, as ``report`` hands its own."""
+    probe, as ``report`` hands its own.  Every pseudo-evolute verdict that
+    neither failed nor found vanishing curvature is cylindrical exactly
+    where ``_cylindrical`` says so."""
     rng = random.Random(0)
     curves = [preset(name) for name in preset_names()] + [
         _shape_curve(workloads._draw(rng, i, degenerate=True))
@@ -157,6 +195,10 @@ def check_joint_classify(shapes: int, samples: int = 1024) -> int:
             retried += 1
             joint = classify(curve, CONSTRUCTIONS, samples)
         assert [_fingerprint(v) for v in joint] == alone, index
+        pseudo = joint[1]
+        if not (pseudo.failed
+                or isinstance(pseudo.error, DegenerateCurvature)):
+            assert pseudo.cylindrical == _cylindrical(curve), index
     return retried
 
 

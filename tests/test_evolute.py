@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from evolutes import preset
+from evolutes.classify import classify
 from evolutes.curves import EPS_TAU, ExprCurve, FrenetODECurve
 from evolutes.errors import CuspPoint
 from evolutes.evolute import (EvoluteCurve, conformal_torsion,
-                              evolute_curvature_torsion,
-                              evolute_singularities, interior_sign,
+                              evolute_curvature_torsion, interior_sign,
                               osculating_circle, osculating_circles_disjoint,
                               osculating_sphere, second_evolute_residual)
 from evolutes.frenet import FrenetEval
@@ -131,13 +131,13 @@ def test_spherical_curve_evolute_is_a_point(spherical):
 
 
 def test_evolute_cusps_of_elliptical_helix(ell_helix):
-    _, cusps = evolute_singularities(ell_helix)
+    cusps = classify(ell_helix, ("evolute",), 512)[0].cusps
     np.testing.assert_allclose(
         cusps, [0.79928884, 2.34230381, 3.94088149, 5.48389647], atol=1e-6)
 
 
 def test_evolute_escapes_of_figure_eight(fig8):
-    escapes, _ = evolute_singularities(fig8)
+    escapes = classify(fig8, ("evolute",), 512)[0].escapes
     want = np.array([1.0, 3.0, 5.0, 7.0]) * math.pi / 4.0
     np.testing.assert_allclose(escapes, want, atol=1e-9)
 
@@ -153,12 +153,12 @@ def _sigma_pair(gap):
     "(width 4.9e-4), at whose ends sigma has one sign, so no cusp is "
     "found and the swallowtail is drawn as a smooth arc"))
 def test_close_sigma_zeros_inside_one_scan_interval():
-    _, cusps = evolute_singularities(_sigma_pair("1e-8"))
+    cusps = classify(_sigma_pair("1e-8"), ("evolute",), 512)[0].cusps
     np.testing.assert_allclose(cusps, [0.7 - 1e-4, 0.7 + 1e-4], atol=1e-6)
 
 
 def test_sigma_zeros_four_scan_intervals_apart_are_cusps():
-    _, cusps = evolute_singularities(_sigma_pair("1e-6"))
+    cusps = classify(_sigma_pair("1e-6"), ("evolute",), 512)[0].cusps
     np.testing.assert_allclose(cusps, [0.7 - 1e-3, 0.7 + 1e-3], atol=1e-6)
 
 

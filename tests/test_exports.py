@@ -1,7 +1,7 @@
 """Every name a module lists in ``__all__`` is an attribute of it, so a
 deleted name cannot stay exported (``errors`` has no ``__all__``), and no
-module but the package's ``__init__`` imports a name it never uses, so a
-deleted caller cannot leave its imports behind."""
+module but the package's ``__init__``, test modules included, imports a
+name it never uses, so a deleted caller cannot leave its imports behind."""
 import ast
 import importlib
 import pathlib
@@ -40,6 +40,8 @@ def _unused_imports(source: str) -> list:
 
 @pytest.mark.parametrize("path", sorted(
     path for path in pathlib.Path(evolutes.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"), ids=lambda path: path.stem)
+    if path.name != "__init__.py") + sorted(
+    pathlib.Path(__file__).parent.glob("*.py")),
+    ids=lambda path: path.stem)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path.read_text()) == []

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from evolutes.classify import classify
 from evolutes.curves import ExprCurve
 from evolutes.evolute import EvoluteCurve
 from evolutes.frenet import FrenetEval
 from evolutes.monge import (MongeEvoluteCurve, MongeInvoluteCurve,
                             distance_identity_residual, envelope_meetings,
-                            monge_evolutes_closed, monge_singularities,
-                            offset_angles, polar_line_residual,
-                            signed_length, string_residual)
+                            monge_evolutes_closed, offset_angles,
+                            polar_line_residual, signed_length,
+                            string_residual)
 from evolutes.pseudo import PseudoEvoluteCurve
 
 ALPHAS = (0.0, 0.3, 0.6)
@@ -37,7 +38,7 @@ def test_string_identities(knot, alpha0):
 
 def test_escapes_are_cosine_zeros(knot):
     ev = MongeEvoluteCurve(knot, 0.0)
-    esc, _ = monge_singularities(ev)
+    esc = np.array(classify(knot, ("monge-evolute",), 512, 0.0)[0].escapes)
     # alpha sweeps the total torsion, crossing pi/2 + m pi eight times
     assert len(esc) == 8
     np.testing.assert_allclose(np.cos(ev.alpha(esc)), 0.0, atol=1e-9)
@@ -47,7 +48,7 @@ def test_escapes_are_cosine_zeros(knot):
 
 def test_cusps_are_critical_points_of_k_cos_alpha(knot):
     ev = MongeEvoluteCurve(knot, 0.3)
-    _, cusps = monge_singularities(ev)
+    cusps = np.array(classify(knot, ("monge-evolute",), 512, 0.3)[0].cusps)
     assert len(cusps) > 0
 
     def k_cos(ts):
@@ -133,20 +134,19 @@ def test_helix_involute_is_planar(helix):
 def test_plane_ellipse_evolute_cusps_and_signed_length():
     ellipse = ExprCurve("2*cos(t), sin(t), 0", (0.0, 2.0 * math.pi),
                         closed=True)
-    ev = MongeEvoluteCurve(ellipse, 0.0, closed=True)
-    _, cusps = monge_singularities(ev)
+    verdict, = classify(ellipse, ("monge-evolute",), 512, 0.0)
+    cusps = verdict.cusps
     want = np.array([0.0, 0.5, 1.0, 1.5]) * math.pi
     np.testing.assert_allclose(cusps, want, atol=1e-9)
     astroid = MongeEvoluteCurve(ellipse, 0.0, closed=True,
-                                cusps=tuple(float(c) for c in cusps))
+                                cusps=cusps)
     assert abs(signed_length(astroid)) < 1e-9
 
 
 def test_signed_involutes_of_cusped_evolute_close():
     ellipse = ExprCurve("2*cos(t), sin(t), 0", (0.0, 2.0 * math.pi),
                         closed=True)
-    ev = MongeEvoluteCurve(ellipse, 0.0, closed=True)
-    cusps = tuple(float(c) for c in monge_singularities(ev)[1])
+    cusps = classify(ellipse, ("monge-evolute",), 512, 0.0)[0].cusps
     astroid = MongeEvoluteCurve(ellipse, 0.0, closed=True, cusps=cusps)
     a, b = astroid.domain
     delta = 1e-9        # the seam parameter is itself a cusp

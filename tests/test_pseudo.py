@@ -5,12 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from evolutes.classify import classify
 from evolutes.curves import FrenetODECurve
 from evolutes.errors import LineThroughEdge
 from evolutes.frenet import FrenetEval
 from evolutes.pseudo import (PseudoEvoluteCurve, PseudoInvoluteCurve,
-                             geodesic_residual, is_cylindrical,
-                             pseudo_evolute_points, pseudo_singularities)
+                             geodesic_residual, pseudo_evolute_points)
 
 
 def test_cusp_curve_rational_values(cusp_curve):
@@ -89,7 +89,8 @@ def test_vectorized_points_mark_escapes(cusp_curve):
 
 
 def test_cusp_curve_singularity_census(cusp_curve):
-    esc, cusps = pseudo_singularities(cusp_curve)
+    verdict, = classify(cusp_curve, ("pseudo-evolute",), 512)
+    esc, cusps = verdict.escapes, verdict.cusps
     np.testing.assert_allclose(
         esc, [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], atol=1e-10)
     np.testing.assert_allclose(
@@ -97,9 +98,9 @@ def test_cusp_curve_singularity_census(cusp_curve):
 
 
 def test_figure_eight_census(fig8):
-    escapes, cusps = pseudo_singularities(fig8)
-    assert len(escapes) == 4
-    assert len(cusps) == 12
+    verdict, = classify(fig8, ("pseudo-evolute",), 512)
+    assert len(verdict.escapes) == 4
+    assert len(verdict.cusps) == 12
 
 
 def _rate_pair(gap):
@@ -110,7 +111,7 @@ def _rate_pair(gap):
 
 @pytest.mark.parametrize("gap", ["1e-8", "1e-6"])
 def test_close_rate_zeros_keep_the_cusp_between(gap):
-    _, cusps = pseudo_singularities(_rate_pair(gap))
+    cusps = classify(_rate_pair(gap), ("pseudo-evolute",), 512)[0].cusps
     np.testing.assert_allclose(cusps, [0.7], atol=1e-9)
 
 
@@ -119,18 +120,20 @@ def test_close_rate_zeros_keep_the_cusp_between(gap):
     "(width 4.9e-4), at whose ends (tau/k)' has one sign, so no escape is "
     "found"))
 def test_close_rate_zeros_inside_one_scan_interval():
-    escapes, _ = pseudo_singularities(_rate_pair("1e-8"))
+    verdict, = classify(_rate_pair("1e-8"), ("pseudo-evolute",), 512)
+    escapes = verdict.escapes
     np.testing.assert_allclose(escapes, [0.7 - 1e-4, 0.7 + 1e-4], atol=1e-6)
 
 
 def test_rate_zeros_four_scan_intervals_apart_are_escapes():
-    escapes, _ = pseudo_singularities(_rate_pair("1e-6"))
+    verdict, = classify(_rate_pair("1e-6"), ("pseudo-evolute",), 512)
+    escapes = verdict.escapes
     np.testing.assert_allclose(escapes, [0.7 - 1e-3, 0.7 + 1e-3], atol=1e-6)
 
 
 def test_cylindrical_curves_have_no_pseudo_evolute(helix, knot):
-    assert is_cylindrical(helix)
-    assert not is_cylindrical(knot)
+    assert classify(helix, ("pseudo-evolute",), 512)[0].cylindrical
+    assert not classify(knot, ("pseudo-evolute",), 512)[0].cylindrical
     pts = pseudo_evolute_points(helix, np.linspace(0.5, 5.5, 7))
     assert not np.isfinite(pts).any()
 
