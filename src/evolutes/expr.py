@@ -14,8 +14,11 @@ decided on the values and name the first offending parameter.
 
 Within one parse (``parse_curve`` is one parse for all three components)
 nodes are interned: structurally equal subtrees are the same object, so a
-pass computes each shared subtree once.  Nothing is kept between parses.
-Angles are radians.
+pass computes each shared subtree once.  A subtree free of t is folded as
+the parser makes it: its float is computed once, by the pass's own scalar
+branches, and kept on the node (``fold``), so no pass visits it; the tree
+itself is kept for printing.  Nothing is kept between parses.  Angles are
+radians.
 """
 
 from __future__ import annotations
@@ -38,7 +41,11 @@ _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
 
 class Expr:
-    __slots__ = ()
+    # fold: the node's float when it does not depend on t (a Const's value,
+    # or a subtree folded at parse), else None.  A subtree free of t whose
+    # value raises DomainError is not folded: every pass raises it and names
+    # the parameter, as for a subtree that depends on t.
+    __slots__ = ("fold",)
 
     def __repr__(self):
         return f"<expr {to_source(self)}>"
@@ -48,11 +55,14 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = float(value)
+        self.value = self.fold = float(value)
 
 
 class Var(Expr):
     __slots__ = ()
+
+    def __init__(self):
+        self.fold = None
 
 
 class Unary(Expr):
@@ -61,6 +71,7 @@ class Unary(Expr):
     def __init__(self, op, arg):
         self.op = op
         self.arg = arg
+        self.fold = None
 
 
 class Binary(Expr):
@@ -70,6 +81,7 @@ class Binary(Expr):
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
+        self.fold = None
 
 
 class Pow(Expr):
@@ -80,6 +92,7 @@ class Pow(Expr):
     def __init__(self, base, exponent):
         self.base = base
         self.exponent = float(exponent)
+        self.fold = None
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +114,10 @@ def _tokenize(text):
             m = _NUMBER.match(text, i)
             if not m:
                 raise ParseError("malformed number", i)
-            tokens.append(("num", float(m.group()), i))
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise ParseError("number is not finite", i)
+            tokens.append(("num", value, i))
             i = m.end()
             continue
         if ch.isalpha() or ch == "_":
@@ -120,13 +136,15 @@ def _tokenize(text):
 
 class _Parser:
     """Recursive descent over one text; ``pool`` interns the nodes it makes,
-    for every expression of the text."""
+    for every expression of the text, and ``constants``, a pass over no
+    parameters, folds those free of t."""
 
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.pool = {}
+        self.constants = _Pass(np.empty(0), 0)
 
     def node(self, cls, *fields):
         # children are keyed by identity: the pool keeps them alive
@@ -135,6 +153,12 @@ class _Parser:
         got = self.pool.get(key)
         if got is None:
             got = self.pool[key] = cls(*fields)
+            children = [f for f in fields if isinstance(f, Expr)]
+            if children and all(c.fold is not None for c in children):
+                try:
+                    got.fold = self.constants.jet(got)
+                except DomainError:
+                    pass        # left to every pass, which names t
         return got
 
     def peek(self):
@@ -181,11 +205,14 @@ class _Parser:
             self.next()
             off = self.peek()[2]
             exponent = self.factor()
-            # a pass over no parameters folds a subtree free of t to a float
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value = _Pass(np.empty(0), 0).jet(exponent)
-            if not isinstance(value, float):
+            value = exponent.fold
+            if value is None:
+                # t in the exponent, or a value that raises: the pass over
+                # no parameters raises the DomainError of the latter
+                self.constants.jet(exponent)
                 raise ParseError("exponent must be constant", off)
+            if not math.isfinite(value):
+                raise ParseError("exponent is not finite", off)
             return self.node(Pow, node, value)
         return node
 
@@ -217,10 +244,11 @@ def _parse(text: str, commas: bool) -> list:
     """The expressions of the text, separated by top-level commas if
     commas is set."""
     parser = _Parser(text)
-    nodes = [parser.expr()]
-    while commas and parser.peek()[0] == ",":
-        parser.next()
-        nodes.append(parser.expr())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nodes = [parser.expr()]
+        while commas and parser.peek()[0] == ",":
+            parser.next()
+            nodes.append(parser.expr())
     kind, value, off = parser.peek()
     if kind != "end":
         raise ParseError(f"expected operator before {value!r}", off)
@@ -248,8 +276,9 @@ class _Pass:
 
     A node's jet is an array of shape (order+1, N), or a float when the
     node does not depend on t; such a constant folds through the same
-    kernels as the arrays, at order 0.  The memo holds each node's jet, and
-    the sin/cos pair of each argument, for the length of the pass.
+    kernels as the arrays, at order 0, and a node folded at parse is its
+    fold.  The memo holds the jet of each node that is not, and the sin/cos
+    pair of each argument, for the length of the pass.
     """
 
     def __init__(self, t, order: int):
@@ -258,6 +287,8 @@ class _Pass:
         self.memo = {}
 
     def jet(self, e):
+        if e.fold is not None:
+            return e.fold
         got = self.memo.get(e)
         if got is None:
             got = self.memo[e] = self._node(e)
@@ -280,8 +311,6 @@ class _Pass:
 
     def _node(self, e):
         kind = type(e)
-        if kind is Const:
-            return e.value
         if kind is Binary:
             return self._binary(e.op, self.jet(e.lhs), self.jet(e.rhs))
         if kind is Unary:

@@ -12,7 +12,7 @@ import sympy as sp
 
 from evolutes import preset
 from evolutes.curves import ExprCurve, FrenetODECurve
-from evolutes.errors import CuspPoint, DegenerateCurvature
+from evolutes.errors import CuspPoint, DegenerateCurvature, LengthMismatch
 from evolutes.frenet import (ArclengthMap, FrenetEval,
                              indicatrix_geodesic_curvature,
                              is_congruent, regular_eval, sigma_values,
@@ -209,6 +209,14 @@ def test_congruence_detects_rigid_motion(knot):
         knot.domain, closed=True)
     flipped = is_congruent(knot, mirrored)
     assert flipped.congruent and flipped.mirror
+
+
+def test_congruence_refuses_curves_of_different_length(helix):
+    a, b = helix.domain
+    longer = ExprCurve(helix.components, (a, a + 1.5 * (b - a)))
+    with pytest.raises(LengthMismatch, match=r"^arc lengths differ: "
+                       r"8\.88576588 vs 13\.3286488$"):
+        is_congruent(helix, longer)
 
 
 def test_indicatrix_geodesic_curvature_of_helix_is_one(helix):

@@ -19,12 +19,13 @@ from evolutes import preset
 from evolutes.catalog import preset_names
 from evolutes.classify import probe_grid
 from evolutes.cli import entry
+from evolutes.curves import ExprCurve
 from evolutes.errors import GeometryError
 from evolutes.exporters import render_json
 from evolutes.frenet import ArclengthMap, FrenetEval
 from evolutes.quadrature import CumulativeIntegral
 from evolutes.report import (_circles_block, curve_report,
-                             identity_residuals)
+                             identity_residuals, monodromy_block)
 from test_classify import _shape_curve
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -68,6 +69,16 @@ def test_report_on_open_curve_omits_monodromy(cusp_curve):
     # sigma has no roots here: the evolute's only cusp is inherited from
     # the cusp of the base curve, which is excluded from the grid
     assert rep["evolute"]["defined"] is True
+
+
+def test_monodromy_of_a_circle_has_no_fixed_point():
+    # rolling a plane circle back to its start turns the plane by 2 pi:
+    # the identity, under which every point is fixed
+    circle = ExprCurve("cos(t), sin(t), 0", (0.0, 2 * np.pi), closed=True)
+    block = monodromy_block(circle)
+    assert block["fixed_point"] is None
+    assert block["degeneracy"] == "every point is fixed"
+    assert json.loads(render_json(block)) == block
 
 
 def test_report_marks_cylindrical_pseudo_evolute(helix):

@@ -96,6 +96,15 @@ def test_closed_seam_root_found_once():
         np.testing.assert_allclose(on_circle, [0.0, math.pi], atol=1e-9)
 
 
+def test_closed_seam_merges_two_roots_that_straddle_the_seam():
+    # a double root at 0 ~ 2pi, split by eps: one root just after 0 and one
+    # just before 2pi, within the merge tolerance of each other on the circle
+    eps = 1e-10
+    roots = find_roots(lambda t: np.sin(t) ** 2 - np.sin(eps) ** 2,
+                       0.0, 2 * math.pi, closed=True)
+    np.testing.assert_allclose(roots, [eps, math.pi], rtol=1e-9, atol=0.0)
+
+
 def test_tight_cluster_resolved():
     def f(t):
         return (t - 1.0) * (t - 1.01) * (t - 2.5)
