@@ -26,8 +26,7 @@ from .frenet import (ArclengthMap, CongruenceReport, FrenetEval, arclength,
 from .monge import (MongeEvoluteCurve, MongeInvoluteCurve, envelope_meetings,
                     monge_evolutes_closed, offset_angles, signed_length,
                     string_residual)
-from .pseudo import (PseudoEvoluteCurve, PseudoInvoluteCurve, geodesic_residual,
-                     pseudo_evolute_points)
+from .pseudo import PseudoEvoluteCurve, PseudoInvoluteCurve, geodesic_residual
 from .report import curve_report, identity_residuals
 from .rolling import (Development, PlanarIsometry, TracedInvoluteCurve,
                       closed_involute, monodromy)

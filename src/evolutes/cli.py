@@ -119,36 +119,31 @@ def _write(cfg: RunConfig, pieces) -> int:
     return 0
 
 
-def _write_svg(cfg: RunConfig, branches) -> int:
-    try:
-        pieces = render_svg(branches, scale=cfg.svg_scale)
-    except ValueError as exc:
-        raise ValueError(f"--svg-scale must be smaller: {exc}") from None
-    return _write(cfg, pieces)
-
-
-def _emit_polyline(cfg: RunConfig, grids, point) -> int:
-    """The finite points of each branch grid (already singularity-free),
-    from one point call on all of them."""
-    ts = np.concatenate(grids)
-    pts = point(ts)
-    good = np.isfinite(pts).all(axis=-1)
-    if _choose_format(cfg, "csv", ("csv", "svg")) == "csv":
-        if not good.all():                  # copies only to drop a row
-            ts, pts = ts[good], pts[good]
-        return _write(cfg, render_csv(ts, pts))
-    ends = np.cumsum([len(g) for g in grids])[:-1]
-    planar = [p[ok, :2] for p, ok in zip(np.split(pts, ends),
-                                         np.split(good, ends))]
-    return _write_svg(cfg, planar)
-
-
 def _require_finite(ts, pts, what: str):
     """Refuse to write positions (one row, or one row of a mesh, per t)
     that are not all finite, naming the first offending t."""
     bad = ~np.isfinite(pts).reshape(len(ts), -1).all(axis=-1)
     if bad.any():
         raise GeometryError(f"{what} is not finite", t=float(ts[bad.argmax()]))
+
+
+def _emit_polyline(cfg: RunConfig, grids, point,
+                   formats=("csv", "svg")) -> int:
+    """Each branch grid (already singularity-free) from one point call on
+    all of them, as one of formats (the first is the default); a point that
+    is not finite is refused."""
+    ts = np.concatenate(grids)
+    pts = point(ts)
+    fmt = _choose_format(cfg, formats[0], formats)
+    _require_finite(ts, pts, "output point")
+    if fmt == "csv":
+        return _write(cfg, render_csv(ts, pts))
+    ends = np.cumsum([len(g) for g in grids])[:-1]
+    try:
+        pieces = render_svg(np.split(pts[:, :2], ends), scale=cfg.svg_scale)
+    except ValueError as exc:
+        raise ValueError(f"--svg-scale must be smaller: {exc}") from None
+    return _write(cfg, pieces)
 
 
 # ------------------------------------------------------------- subcommands
@@ -207,13 +202,12 @@ def _cmd_developable(cfg: RunConfig, curve: Curve) -> int:
 
 def _cmd_develop(cfg: RunConfig, curve: Curve) -> int:
     dev = Development(curve)
-    ts = curve.grid(cfg.samples)
-    flat = dev.point(ts)
-    fmt = _choose_format(cfg, "svg", ("svg", "csv"))
-    if fmt == "svg":
-        return _write_svg(cfg, [flat])
-    pts = np.column_stack([flat, np.zeros(len(ts))])
-    return _write(cfg, render_csv(ts, pts))
+
+    def point(ts):
+        return np.column_stack([dev.point(ts), np.zeros(len(ts))])
+
+    return _emit_polyline(cfg, [curve.grid(cfg.samples)], point,
+                          ("svg", "csv"))
 
 
 def _cmd_monodromy(cfg: RunConfig, curve: Curve) -> int:

@@ -208,8 +208,12 @@ class _Parser:
             value = exponent.fold
             if value is None:
                 # t in the exponent, or a value that raises: the pass over
-                # no parameters raises the DomainError of the latter
-                self.constants.jet(exponent)
+                # no parameters raises the DomainError of the latter, which
+                # is refused at the exponent's offset
+                try:
+                    self.constants.jet(exponent)
+                except DomainError as exc:
+                    raise ParseError(str(exc), off) from None
                 raise ParseError("exponent must be constant", off)
             if not math.isfinite(value):
                 raise ParseError("exponent is not finite", off)

@@ -39,8 +39,7 @@ from .taylor import (arclength_derivative, jet_deflate, jet_div, jet_mul,
                      jet_sin_cos)
 
 __all__ = [
-    "pseudo_evolute_points", "PseudoEvoluteCurve",
-    "pseudo_scan_rows",
+    "PseudoEvoluteCurve", "pseudo_scan_rows",
     "geodesic_residual", "PseudoInvoluteCurve",
 ]
 
@@ -87,16 +86,6 @@ def _limit_jets(curve: Curve, t, order: int) -> np.ndarray:
             ratio = jet_div(jet_deflate(W[: jj + m, rows], jj),
                             jet_deflate(E[: jj + m, rows], jj))
             out[:, rows] = fe.x[:m, rows] + ratio
-    return out
-
-
-def pseudo_evolute_points(curve: Curve, ts) -> np.ndarray:
-    """Vectorized pseudo-evolute; escape parameters give non-finite rows."""
-    fe = FrenetEval(curve, ts, order=4)
-    with np.errstate(all="ignore"):
-        W, E = _numerator_denominator(fe)
-        out = fe.x[0] + W[0] / E[0][:, None]
-        out[np.abs(E[0]) <= _escape_threshold(fe)] = np.nan
     return out
 
 

@@ -303,12 +303,9 @@ def test_pseudo_evolute_svg_branches(tmp_path):
 
 
 def _one_call_per_branch(point, grids):
-    """The CSV of each branch's finite rows, one point call per branch."""
-    pts = [point(ts) for ts in grids]
-    good = [np.isfinite(p).all(axis=-1) for p in pts]
-    return "".join(render_csv(
-        np.concatenate([ts[g] for ts, g in zip(grids, good)]),
-        np.concatenate([p[g] for p, g in zip(pts, good)])))
+    """The CSV of each branch's rows, one point call per branch."""
+    return "".join(render_csv(np.concatenate(grids),
+                              np.concatenate([point(ts) for ts in grids])))
 
 
 @pytest.mark.parametrize("argv", [
@@ -475,6 +472,35 @@ def test_developable_refuses_a_non_finite_vertex(tmp_path, capsys):
                   "0:1", "--out", str(out)]) == 3
     assert "patch vertex is not finite at t≈0.7" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_a_polyline_point_that_is_not_finite_exits_3(fmt, tmp_path, capsys):
+    # x = exp(1000 t): 915 of the 1024 pseudo-evolute rows are not finite,
+    # the first at t = 0.1065
+    out = tmp_path / f"p.{fmt}"
+    assert entry(["pseudo-evolute", "--expr", "exp(t)^1000,t,t^2", "--range",
+                  "0:1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "degenerate geometry: output point is not finite at t≈0.106549365\n")
+    assert not out.exists()
+
+
+def test_develop_csv_rows_are_the_svg_points(tmp_path):
+    paths = {fmt: tmp_path / f"dev.{fmt}" for fmt in ("csv", "svg")}
+    for path in paths.values():
+        assert entry(["develop", "--preset", "torus-knot", "--samples", "64",
+                      "--out", str(path)]) == 0
+    data = _csv(paths["csv"])
+    assert data.shape == (64, 4)
+    np.testing.assert_array_equal(data[:, 3], 0.0)
+    path, = re.findall(r'<path d="M ([^"]*)"', paths["svg"].read_text())
+    drawn = np.array([xy.split() for xy in path.split(" L ")], dtype=float)
+    # 100 pixels per unit, a margin of 10 pixels, the y axis flipped
+    x, y = data[:, 1], data[:, 2]
+    want = np.column_stack([(x - x.min()) * 100.0 + 10.0,
+                            (y.max() - y) * 100.0 + 10.0])
+    np.testing.assert_allclose(drawn, want, rtol=1e-12, atol=1e-9)
 
 
 def test_develop_and_involute(tmp_path, capsys):

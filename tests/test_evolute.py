@@ -13,7 +13,7 @@ import pytest
 from evolutes import preset
 from evolutes.classify import classify
 from evolutes.curves import EPS_TAU, ExprCurve, FrenetODECurve
-from evolutes.errors import CuspPoint
+from evolutes.errors import CuspPoint, TorsionVanishes
 from evolutes.evolute import (EvoluteCurve, conformal_torsion,
                               evolute_curvature_torsion, interior_sign,
                               osculating_circle, osculating_circles_disjoint,
@@ -45,6 +45,15 @@ def test_osculating_sphere_matches_four_point_fit(knot):
         # first-order contact error: shrinks with h and is already small
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 5e-4 * (1 + radius)
+
+
+def test_a_planar_curve_has_no_osculating_sphere():
+    # the center escapes along the binormal as the torsion vanishes
+    circle = ExprCurve("cos(t), sin(t), 0", (0.0, 6.0))
+    with pytest.raises(TorsionVanishes) as err:
+        osculating_sphere(circle, 0.5)
+    assert err.value.t == 0.5
+    assert str(err.value) == "evolute escapes to infinity at t≈0.5"
 
 
 def test_helix_evolute_closed_form(helix):

@@ -452,8 +452,9 @@ def test_folding_keeps_the_printed_tree(text, printed):
      "log of non-positive value at t=1"),
     (("evolute", "--ktau", "1/0;1", "--range", "0:1"),
      "division by zero at t=0"),
+    # an exponent must fold at parse, so its failure names its offset
     (("frenet", "--expr", "t^(log(-1)),t,t^2", "--range", "1:2"),
-     "log of non-positive value"),
+     "log of non-positive value (offset 2)"),
 ])
 def test_an_undefined_constant_keeps_its_message(argv, message, tmp_path,
                                                  capsys):

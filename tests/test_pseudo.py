@@ -10,7 +10,7 @@ from evolutes.curves import FrenetODECurve
 from evolutes.errors import LineThroughEdge
 from evolutes.frenet import FrenetEval
 from evolutes.pseudo import (PseudoEvoluteCurve, PseudoInvoluteCurve,
-                             geodesic_residual, pseudo_evolute_points)
+                             geodesic_residual)
 
 
 def test_cusp_curve_rational_values(cusp_curve):
@@ -78,14 +78,18 @@ def test_point_pass_takes_no_limit_at_the_seam(knot, monkeypatch):
     assert calls == [4]
 
 
-def test_vectorized_points_mark_escapes(cusp_curve):
-    esc = 1.0 / math.sqrt(2.0)
-    ts = np.array([-esc, -0.3, 0.4, esc])
-    pts = pseudo_evolute_points(cusp_curve, ts)
-    assert np.isnan(pts[0]).all() and np.isnan(pts[3]).all()
-    assert np.isfinite(pts[1:3]).all()
-    np.testing.assert_allclose(
-        pts[1:3], PseudoEvoluteCurve(cusp_curve).point(ts[1:3]), atol=1e-10)
+def test_points_between_the_escapes_follow_the_arclength_formula(cusp_curve):
+    # eps = xi + k / (k' tau - k tau') (tau T + k B), arclength derivatives;
+    # the escapes themselves are checked by the singularity census below
+    ts = np.array([-0.3, 0.4])
+    fe = FrenetEval(cusp_curve, ts, order=4)
+    k, tau, v = fe.k, fe.tau, fe.v[0]
+    scale = k[0] / (k[1] / v * tau[0] - k[0] * tau[1] / v)
+    want = fe.x[0] + scale[:, None] * (tau[0][:, None] * fe.T[0]
+                                       + k[0][:, None] * fe.B[0])
+    pts = PseudoEvoluteCurve(cusp_curve).point(ts)
+    assert np.isfinite(pts).all()
+    np.testing.assert_allclose(pts, want, atol=1e-10)
 
 
 def test_cusp_curve_singularity_census(cusp_curve):
@@ -134,7 +138,7 @@ def test_rate_zeros_four_scan_intervals_apart_are_escapes():
 def test_cylindrical_curves_have_no_pseudo_evolute(helix, knot):
     assert classify(helix, ("pseudo-evolute",), 512)[0].cylindrical
     assert not classify(knot, ("pseudo-evolute",), 512)[0].cylindrical
-    pts = pseudo_evolute_points(helix, np.linspace(0.5, 5.5, 7))
+    pts = PseudoEvoluteCurve(helix).point(np.linspace(0.5, 5.5, 7))
     assert not np.isfinite(pts).any()
 
 
@@ -155,7 +159,7 @@ def test_pseudo_involute_lies_on_tangent_lines(helix):
 def test_pseudo_evolute_of_involute_is_the_base(helix):
     inv = PseudoInvoluteCurve(helix, (0.0, 10.0), (1.0, 0.0))
     ts = np.linspace(0.8, 3.2, 9)
-    back = pseudo_evolute_points(inv, ts)
+    back = PseudoEvoluteCurve(inv).point(ts)
     np.testing.assert_allclose(back, helix.point(ts), atol=1e-6)
 
 
