@@ -190,8 +190,9 @@ class ArclengthMap(CumulativeIntegral):
 
         def rate(ts):
             fe = FrenetEval(curve, ts, order=order)
-            rates = [fe.v[0] if w is None else w(fe)[0] * fe.v[0]
-                     for w in weights]
+            with np.errstate(all="ignore"):     # the table names a failure
+                rates = [fe.v[0] if w is None else w(fe)[0] * fe.v[0]
+                         for w in weights]
             return np.stack(rates, axis=-1) if separate else rates[0]
 
         a, b = curve.domain

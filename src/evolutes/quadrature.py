@@ -190,11 +190,13 @@ class _Refinement:
         component (a signed total that cancels would tighten it)."""
         col = (-1,) + (1,) * (nodes.ndim - 2)
         half = (0.5 * (self.hi - self.lo)).reshape(col)
-        vals = (nodes @ _WK) * half
-        errs = np.abs(vals - (nodes[..., 1::2] @ _WG) * half)
-        # fmax: a NaN in the running sum leaves the absolute budget
-        scale = np.fmax(sum(np.abs(v).sum(axis=0) for v in self.kept_val)
-                        + np.abs(vals).sum(axis=0), _ATOL)
+        # a value that is not finite fails its panel, and the caps name it
+        with np.errstate(all="ignore"):
+            vals = (nodes @ _WK) * half
+            errs = np.abs(vals - (nodes[..., 1::2] @ _WG) * half)
+            # fmax: a NaN in the running sum leaves the absolute budget
+            scale = np.fmax(sum(np.abs(v).sum(axis=0) for v in self.kept_val)
+                            + np.abs(vals).sum(axis=0), _ATOL)
         ok = errs <= (((self.hi - self.lo) / self.width).reshape(col)
                       * np.fmax(_ATOL, _RTOL * scale))
         ok = ok.reshape(len(ok), -1).all(axis=1)

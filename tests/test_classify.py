@@ -6,6 +6,11 @@ the presets and on the first shapes of the benchmark's unfiltered draw
 ``check_joint_classify`` runs that check on any number of shapes:
 
     PYTHONPATH=src:tests python -c 'import test_classify as t; t.check_joint_classify(120)'
+
+``check_root_definition`` checks every root those searches keep against
+the definition of a root, on the same curves:
+
+    PYTHONPATH=src:tests python -c 'import test_classify as t; t.check_root_definition(120)'
 """
 import json
 import random
@@ -23,7 +28,7 @@ from evolutes.curves import ExprCurve, FrenetODECurve
 from evolutes.errors import DegenerateCurvature, GeometryError
 from evolutes.frenet import FrenetEval
 from evolutes.report import curve_report
-from evolutes.roots import SCAN_SAMPLES
+from evolutes.roots import _ROUNDS, SCAN_SAMPLES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -65,12 +70,12 @@ def test_planar_curve_is_not_spherical():
 
 # calls of f one classify makes, at most: the first scan and its rounds
 ROOT_CALLS = {
-    ("torus-knot", "evolute"): 1, ("torus-knot", "pseudo-evolute"): 6,
-    ("torus-knot", "monge-evolute"): 5,
-    ("cusp-curve", "evolute"): 1, ("cusp-curve", "pseudo-evolute"): 6,
+    ("torus-knot", "evolute"): 1, ("torus-knot", "pseudo-evolute"): 4,
+    ("torus-knot", "monge-evolute"): 3,
+    ("cusp-curve", "evolute"): 1, ("cusp-curve", "pseudo-evolute"): 5,
     ("cusp-curve", "monge-evolute"): 1,
-    ("fig8", "evolute"): 10, ("fig8", "pseudo-evolute"): 6,
-    ("fig8", "monge-evolute"): 3,
+    ("fig8", "evolute"): 10, ("fig8", "pseudo-evolute"): 3,
+    ("fig8", "monge-evolute"): 2,
 }
 
 
@@ -128,8 +133,8 @@ def test_pseudo_evolute_probe_is_the_only_frenet_eval_before_the_search(
 
 # calls of f one report makes, at most: one search for the evolute and the
 # pseudo-evolute together, where two searches took 14, 10, 6, 6, 1 and 5
-REPORT_CALLS = {"fig8": 10, "elliptical-helix": 5, "torus-knot": 5,
-                "cusp-curve": 5, "helix": 1, "spherical": 5}
+REPORT_CALLS = {"fig8": 10, "elliptical-helix": 3, "torus-knot": 4,
+                "cusp-curve": 5, "helix": 1, "spherical": 3}
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -167,6 +172,14 @@ def _cylindrical(curve) -> bool:
         return is_constant(fe.tau[0] / fe.k[0])
 
 
+def _curves(shapes: int) -> list:
+    """The presets and the first ``shapes`` curves of the unfiltered draw."""
+    rng = random.Random(0)
+    return [preset(name) for name in preset_names()] + [
+        _shape_curve(workloads._draw(rng, i, degenerate=True))
+        for i in range(shapes)]
+
+
 def check_joint_classify(shapes: int, samples: int = 1024) -> int:
     """Classify every construction jointly and one at a time on the presets
     and the first ``shapes`` draws; assert equal fingerprints, and return on
@@ -175,12 +188,8 @@ def check_joint_classify(shapes: int, samples: int = 1024) -> int:
     probe, as ``report`` hands its own.  Every pseudo-evolute verdict that
     neither failed nor found vanishing curvature is cylindrical exactly
     where ``_cylindrical`` says so."""
-    rng = random.Random(0)
-    curves = [preset(name) for name in preset_names()] + [
-        _shape_curve(workloads._draw(rng, i, degenerate=True))
-        for i in range(shapes)]
     retried = 0
-    for index, curve in enumerate(curves):
+    for index, curve in enumerate(_curves(shapes)):
         alone = [_fingerprint(classify(curve, (c,), samples)[0])
                  for c in CONSTRUCTIONS]
         probe = None
@@ -206,6 +215,50 @@ def test_joint_classification_equals_one_call_per_construction():
     # the joint pass raises on 2 of the 46 curves, where the Monge
     # evolute's torsion table fails; the other two verdicts are kept
     assert check_joint_classify(40) == 2
+
+
+def check_root_definition(shapes: int) -> int:
+    """Classify every construction jointly on the presets and the first
+    ``shapes`` draws, and check every root kept by a search that closed
+    before the cap on rounds against the definition of a root, with no
+    oracle: its row is exactly 0 there, or has the other sign one float
+    above or below it.  The seam root at a (f(a) against f(b) on a closed
+    curve) is exempt.  Return how many roots were checked."""
+    module = sys.modules["evolutes.classify"]
+    find, signs = module.find_roots, []
+
+    def checked(f, a, b, closed=False):
+        calls = []
+
+        def counted(t):
+            calls.append(len(t))
+            return f(t)
+        found = find(counted, a, b, closed=closed)
+        kept = [(row, r) for row, roots in enumerate(found)
+                for r in roots if not (closed and r == a)]
+        if kept and len(calls) <= _ROUNDS:
+            r = np.array([r for _, r in kept])
+            ts = np.concatenate([r, np.nextafter(r, np.inf),
+                                 np.nextafter(r, -np.inf)])
+            rows = np.asarray(f(ts)).reshape(len(found), 3, -1)
+            for i, (row, t) in enumerate(kept):
+                signs.append((row, t, *np.sign(rows[row, :, i])))
+        return found
+    module.find_roots = checked
+    try:
+        for curve in _curves(shapes):
+            classify(curve, CONSTRUCTIONS, 1024)
+    finally:
+        module.find_roots = find
+    for row, r, at, above, below in signs:
+        assert at == 0 or at * above < 0 or at * below < 0, (row, r)
+    return len(signs)
+
+
+def test_every_kept_root_is_a_zero_or_a_sign_change_to_the_next_float():
+    # the estimate may move a root only within the floats where its row
+    # changes sign
+    assert check_root_definition(40) > 0
 
 
 def test_report_hands_classify_its_probe(monkeypatch):

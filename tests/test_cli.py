@@ -486,6 +486,22 @@ def test_a_polyline_point_that_is_not_finite_exits_3(fmt, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,t", [
+    (["monge-involute", "--length", "1"], "0.35949707"),
+    (["involute", "--point", "0:1"], "0.703186035"),
+    (["monge-evolute"], "0.35949707")])
+def test_a_failed_quadrature_prints_only_its_message(argv, t, tmp_path,
+                                                     capsys):
+    # the panels meet values that overflow, or infinity times zero, on the
+    # way to the failure: numpy must not warn of them ahead of the message
+    out = tmp_path / "o.csv"
+    assert entry([*argv, "--expr", "exp(t)^1000,t,t^2", "--range", "0:1",
+                  "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"degenerate geometry: quadrature failed on [0, 1] at t≈{t}\n")
+    assert not out.exists()
+
+
 def test_develop_csv_rows_are_the_svg_points(tmp_path):
     paths = {fmt: tmp_path / f"dev.{fmt}" for fmt in ("csv", "svg")}
     for path in paths.values():

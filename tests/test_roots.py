@@ -29,8 +29,18 @@ def test_sine_roots():
     want = [math.pi, 2 * math.pi, 3 * math.pi]
     assert len(roots) == len(want)
     np.testing.assert_allclose(roots, want, atol=1e-9)
-    # the scan and at most 4 rounds: simple roots close superlinearly
-    assert len(calls) <= 5
+    # the scan and 2 rounds: the second round's inverse cubic estimate is
+    # good to a few ulps, and the floats about it close each bracket
+    assert len(calls) <= 3
+
+
+def test_roots_in_the_end_intervals_close_by_regula_falsi():
+    # there an outer neighbour repeats an end of the scan, so the estimate
+    # falls back to regula falsi; the ends close to adjacent floats anyway
+    f, calls = _counted(lambda t: (t - 1e-4) * (t - 0.9999))
+    roots = find_roots(f, 0.0, 1.0)
+    np.testing.assert_allclose(roots, [1e-4, 0.9999], rtol=0, atol=2e-16)
+    assert len(calls) < 1 + _ROUNDS
 
 
 def test_endpoint_root_kept_once():
